@@ -16,22 +16,21 @@ should be.
 import numpy as np
 
 from difex.data import BenchConfig, domain_shift_report, generate
-from difex.fourier import amplitude, fft, per_channel_phase
+from difex.fourier import row_views
 
 cfg = BenchConfig(domains=3, classes=4, per_class=20, length=32, seed=11)
 domains = generate(cfg)
 print(f"benchmark: {cfg.domains} domains x {cfg.samples_per_domain} samples, "
       f"{cfg.channels} channels of length {cfg.length}\n")
 
-# class-mean amplitude and phase columns per domain
+# class-mean amplitude and phase columns per domain; one batched transform
+# covers every channel of every class-0 sample of a domain
 amp_means, phase_means = [], []
 for ds in domains:
-    rows = np.flatnonzero(ds.y == 0)
-    amps = [np.concatenate([amplitude(fft(ds.X[r, c])) for c in range(cfg.channels)])
-            for r in rows]
-    phases = [per_channel_phase(ds.X[r]).ravel() for r in rows]
-    amp_means.append(np.mean(amps, axis=0))
-    phase_means.append(np.mean(phases, axis=0))
+    X = ds.X[ds.y == 0]
+    amps, phases, _ = row_views(X)
+    amp_means.append(amps.reshape(len(X), -1).mean(axis=0))
+    phase_means.append(phases.reshape(len(X), -1).mean(axis=0))
 
 print("class-0 mean representations, pairwise distance between domains:")
 print(f"{'pair':>8} {'amplitude':>12} {'phase':>10}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .autodiff import NonFiniteError
 from .data import BenchConfig, DataError, generate, leave_one_out, load_csv, save_csv
-from .fourier import amplitude, fft, phase, reconstruct_phase_only
+from .fourier import row_views
 from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
 from .training import (
@@ -174,8 +174,16 @@ def _load_data_dir(path):
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        files = [os.path.join(path, f) for f in manifest.get("files", [])]
+        if not isinstance(manifest, dict):
+            raise DataError(f"{manifest_path}: expected a JSON object")
+        names = manifest.get("files", [])
+        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+            raise DataError(f'{manifest_path}: "files" must be a list of file names')
         channels = manifest.get("channels")
+        if channels is not None and (isinstance(channels, bool)
+                                     or not isinstance(channels, int)):
+            raise DataError(f'{manifest_path}: "channels" must be an integer')
+        files = [os.path.join(path, f) for f in names]
     else:
         manifest = {}
         files = sorted(
@@ -427,24 +435,17 @@ def cmd_motivate(args):
     classes = {int(by_domain[d].y[i]) for d, i in picks}
     if len(classes) > 1:
         raise DataError(f"samples span classes {sorted(classes)}; pick one class")
-    columns, names = [], []
     n_ch, length = by_domain[picks[0][0]].X.shape[1:]
-    for d, i in picks:
-        x = by_domain[d].X[i]
-        if x.shape != (n_ch, length):
-            raise DataError("samples have inconsistent shapes")
-        raws, amps, phases, recons = [], [], [], []
-        for ch in range(n_ch):
-            s = fft(x[ch])
-            raws.append(x[ch])
-            amps.append(amplitude(s))
-            phases.append(phase(s))
-            recons.append(reconstruct_phase_only(s))
-        tag = f"d{d}_{i}"
-        for group, stackd in (("raw", raws), ("amp", amps),
-                              ("phase", phases), ("recon", recons)):
-            names.append(f"{group}_{tag}")
-            columns.append(np.concatenate(stackd))
+    if any(by_domain[d].X.shape[1:] != (n_ch, length) for d, _ in picks):
+        raise DataError("samples have inconsistent shapes")
+    # picks x channels x length; every channel of every pick in one transform
+    raw = np.stack([by_domain[d].X[i] for d, i in picks])
+    views = (("raw", raw),) + tuple(zip(("amp", "phase", "recon"), row_views(raw)))
+    columns, names = [], []
+    for k, (d, i) in enumerate(picks):
+        for group, view in views:
+            names.append(f"{group}_d{d}_{i}")
+            columns.append(view[k].reshape(-1))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("channel,bin," + ",".join(names) + "\n")
         row = 0

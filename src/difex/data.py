@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, softmax_cross_entropy
-from .fourier import fft, per_channel_phase, amplitude
+from .fourier import row_views
 from .model import TeacherModel
 
 __all__ = [
@@ -562,16 +562,11 @@ def load_csv(path, channels=None) -> DomainDataset:
 
 
 def _probe_features(domains, kind):
-    feats, labels = [], []
-    for ds in domains:
-        for i in range(len(ds)):
-            if kind == "amp":
-                f = np.stack([amplitude(fft(ch)) for ch in ds.X[i]])
-            else:
-                f = per_channel_phase(ds.X[i])
-            feats.append(f.reshape(-1))
-            labels.append(ds.domain)
-    return np.array(feats), np.array(labels, dtype=np.intp)
+    X = np.concatenate([ds.X for ds in domains])
+    amp, phase, _ = row_views(X)
+    f = amp if kind == "amp" else phase
+    labels = [np.full(len(ds), ds.domain, dtype=np.intp) for ds in domains]
+    return f.reshape(len(X), -1), np.concatenate(labels)
 
 
 def domain_shift_report(domains, seed=0, steps=150):

@@ -1,8 +1,12 @@
 """Discrete Fourier analysis: spectra, phase, amplitude, reconstructions.
 
 `dft_naive` is the direct O(N²) evaluation of the transform definition and
-acts as the correctness oracle; `fft` is the radix-2 recursion used
-everywhere else, falling back to the naive path for awkward lengths.
+acts as the correctness oracle. Everything else rests on one transform,
+a radix-2 recursion along the last axis of an array of any rank (a
+per-bin naive sum for awkward lengths): the leading axes are a batch, so
+samples × channels go through in a single call, with the same bits as
+one call per signal. `fft` and `fft2` are its 1-D and 2-D faces,
+`row_views` and `per_channel_phase` its batched ones.
 Spectra are carried as separate real/imaginary float64 arrays.
 """
 
@@ -21,6 +25,7 @@ __all__ = [
     "phase",
     "amplitude",
     "reconstruct_phase_only",
+    "row_views",
     "per_channel_phase",
 ]
 
@@ -65,32 +70,42 @@ def dft_naive(signal) -> Spectrum:
 
 
 def _fft_c(x: np.ndarray) -> np.ndarray:
-    # x is complex128 with power-of-two length
-    n = x.size
+    # x is complex128 whose last axis has power-of-two length
+    n = x.shape[-1]
     if n == 1:
         return x.copy()
-    even = _fft_c(x[0::2])
-    odd = _fft_c(x[1::2])
+    even = _fft_c(x[..., 0::2])
+    odd = _fft_c(x[..., 1::2])
     twiddle = np.exp(-2j * np.pi * np.arange(n // 2) / n) * odd
-    return np.concatenate([even + twiddle, even - twiddle])
+    return np.concatenate([even + twiddle, even - twiddle], axis=-1)
 
 
 def _naive_c(x: np.ndarray) -> np.ndarray:
-    n = x.size
+    # contiguous rows keep each bin's sum in the same (pairwise) order as a
+    # lone 1-D signal, so batching does not change a single bit
+    x = np.ascontiguousarray(x)
+    n = x.shape[-1]
     u = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(x.shape, dtype=np.complex128)
     for k in range(n):
-        out[k] = np.sum(x * np.exp(-2j * np.pi * k * u / n))
+        out[..., k] = np.sum(x * np.exp(-2j * np.pi * k * u / n), axis=-1)
     return out
 
 
 def _forward_c(x: np.ndarray) -> np.ndarray:
-    n = x.size
+    """The one transform: along the last axis, every leading index a signal."""
+    n = x.shape[-1]
     if n == 0:
         raise ValueError("empty signal")
     if n & (n - 1) == 0:
         return _fft_c(x)
     return _naive_c(x)
+
+
+def _forward2_c(c: np.ndarray) -> np.ndarray:
+    # rows, then columns, of every trailing 2-D plane
+    c = _forward_c(c)
+    return _forward_c(c.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def fft(signal) -> Spectrum:
@@ -107,20 +122,14 @@ def fft2(x) -> Spectrum:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("fft2 expects a non-empty 2-D array")
-    c = a.astype(np.complex128)
-    c = np.stack([_forward_c(row) for row in c])
-    c = np.stack([_forward_c(col) for col in c.T]).T
+    c = _forward2_c(a.astype(np.complex128))
     return Spectrum(c.real, c.imag)
 
 
 def _inverse_c(c: np.ndarray) -> np.ndarray:
-    # inverse via the conjugation identity: F⁻¹(X) = conj(F(conj(X)))/N
-    if c.ndim == 1:
-        return np.conj(_forward_c(np.conj(c))) / c.size
-    rows = np.stack([np.conj(_forward_c(np.conj(r))) / c.shape[1] for r in c])
-    return np.stack(
-        [np.conj(_forward_c(np.conj(col))) / c.shape[0] for col in rows.T]
-    ).T
+    # inverse along the last axis via the conjugation identity:
+    # F⁻¹(X) = conj(F(conj(X)))/N
+    return np.conj(_forward_c(np.conj(c))) / c.shape[-1]
 
 
 def fft_inverse(s: Spectrum) -> np.ndarray:
@@ -128,7 +137,24 @@ def fft_inverse(s: Spectrum) -> np.ndarray:
     c = s.re + 1j * s.im
     if c.ndim not in (1, 2):
         raise ValueError("inverse supports 1-D and 2-D spectra")
-    return _inverse_c(c).real
+    out = _inverse_c(c)
+    if c.ndim == 2:
+        out = _inverse_c(out.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return out.real
+
+
+def _phase(re: np.ndarray, im: np.ndarray, axis) -> np.ndarray:
+    # dead bins are judged against the largest bin of their own signal:
+    # the whole array (axis=None) or each slice over `axis`
+    p = np.arctan2(im, re)
+    # arctan2 returns [−π, π]; fold the −π edge onto +π, and pin dead bins to 0
+    p = np.where(p == -np.pi, np.pi, p)
+    mag = np.hypot(re, im)
+    if axis is None:
+        peak = mag.max() if mag.size else 0.0
+    else:
+        peak = mag.max(axis=axis, keepdims=True)
+    return np.where(mag <= 1e-9 * peak, 0.0, p)
 
 
 def phase(s: Spectrum) -> np.ndarray:
@@ -141,12 +167,7 @@ def phase(s: Spectrum) -> np.ndarray:
     exactly-empty bin holds rounding residue of order 1e-16 whose angle is
     arbitrary, and that angle must not masquerade as signal.
     """
-    p = np.arctan2(s.im, s.re)
-    # arctan2 returns [−π, π]; fold the −π edge onto +π, and pin dead bins to 0
-    p = np.where(p == -np.pi, np.pi, p)
-    mag = np.hypot(s.re, s.im)
-    dead = mag <= 1e-9 * (mag.max() if mag.size else 0.0)
-    return np.where(dead, 0.0, p)
+    return _phase(s.re, s.im, axis=None)
 
 
 def amplitude(s: Spectrum) -> np.ndarray:
@@ -164,14 +185,36 @@ def reconstruct_phase_only(s: Spectrum) -> np.ndarray:
     return fft_inverse(Spectrum(np.cos(p), np.sin(p)))
 
 
+def row_views(x):
+    """(amplitude, phase, phase-only reconstruction) of every row of x.
+
+    One batched transform along the last axis; each row is its own
+    signal, so row i of each view equals `amplitude(fft(x[i]))`,
+    `phase(fft(x[i]))` and `reconstruct_phase_only(fft(x[i]))` exactly.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim == 0 or a.size == 0:
+        raise ValueError("row_views expects a non-empty array of rows")
+    c = _forward_c(a.astype(np.complex128))
+    p = _phase(c.real, c.imag, axis=-1)
+    recon = _inverse_c(np.cos(p) + 1j * np.sin(p)).real
+    return np.hypot(c.real, c.imag), p, recon
+
+
 def per_channel_phase(x) -> np.ndarray:
     """Phase of each channel's spectrum, stacked back to the input shape.
 
-    Accepts C×N signals or C×H×W images; channels never mix.
+    Accepts C×N signals or C×H×W images; channels never mix. All channels
+    go through one batched transform, and each channel's dead bins are
+    judged against its own largest bin, so the result equals the
+    per-channel `phase(fft(ch))` / `phase(fft2(ch))` exactly. Callers may
+    pass any number of signals as rows, e.g. samples × channels at once.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 2:
-        return np.stack([phase(fft(ch)) for ch in a])
+        c = _forward_c(a.astype(np.complex128))
+        return _phase(c.real, c.imag, axis=-1)
     if a.ndim == 3:
-        return np.stack([phase(fft2(ch)) for ch in a])
+        c = _forward2_c(a.astype(np.complex128))
+        return _phase(c.real, c.imag, axis=(-2, -1))
     raise ValueError("expected C×N or C×H×W input")

@@ -176,6 +176,12 @@ def predict(model: StudentModel, x):
 
 FORMAT_VERSION = 1
 
+# constructor sizes per model kind, in argument order
+_HEADER_DIMS = {
+    "teacher": ("in_dim", "hidden", "feat_dim", "classes"),
+    "student": ("in_dim", "hidden", "d", "classes"),
+}
+
 
 def save_checkpoint(model, path, seed=None):
     header = {
@@ -208,23 +214,28 @@ def load_checkpoint(path):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable checkpoint header in {path}: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header in {path} is not a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format {header.get('format')!r}")
     kind = header.get("kind")
-    if kind == "teacher":
-        model = TeacherModel(
-            header["in_dim"], header["hidden"], header["feat_dim"],
-            header["classes"], rng=None,
-        )
-    elif kind == "student":
-        model = StudentModel(
-            header["in_dim"], header["hidden"], header["d"],
-            header["classes"], rng=None, input_kind=header.get("input", "raw"),
-        )
-    else:
+    if kind not in _HEADER_DIMS:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
+    dims = [header.get(key) for key in _HEADER_DIMS[kind]]
+    for key, v in zip(_HEADER_DIMS[kind], dims):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(
+                f"checkpoint field {key!r} must be a positive integer, got {v!r}"
+            )
+    table = header.get("shapes")
+    if not isinstance(table, list) or not all(isinstance(s, list) for s in table):
+        raise ValueError("checkpoint shape table must be a list of lists")
+    if kind == "teacher":
+        model = TeacherModel(*dims, rng=None)
+    else:
+        model = StudentModel(*dims, rng=None, input_kind=header.get("input", "raw"))
     params = model.params()
-    shapes = [tuple(s) for s in header["shapes"]]
+    shapes = [tuple(s) for s in table]
     if shapes != [p.data.shape for p in params]:
         raise ValueError("checkpoint shape table does not match architecture")
     expected = sum(int(np.prod(s)) for s in shapes) * 8

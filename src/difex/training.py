@@ -26,7 +26,6 @@ __all__ = [
     "RunResult",
     "effective_weights",
     "train_val_split",
-    "make_batches",
     "batch_index_stream",
     "assign_virtual_domains",
     "train_teacher",
@@ -109,7 +108,8 @@ def effective_weights(cfg: TrainConfig) -> LossWeights:
 def flatten_features(X: np.ndarray, input_kind: str) -> np.ndarray:
     """Samples (n x channels x length) to flat rows, raw or phase."""
     if input_kind == "phase":
-        return np.stack([per_channel_phase(x) for x in X]).reshape(len(X), -1)
+        # every channel of every sample is one row of a single batched call
+        return per_channel_phase(X.reshape(-1, X.shape[-1])).reshape(len(X), -1)
     return X.reshape(len(X), -1)
 
 
@@ -167,20 +167,6 @@ def batch_index_stream(domain_rows, batch_size, rng):
             np.concatenate([p[s * quota : (s + 1) * quota] for p in perms])
         )
     return batches
-
-
-def make_batches(sources, batch_size, seed):
-    """One epoch of ready-to-use batches over raw flattened features."""
-    X = np.concatenate([flatten_features(ds.X, "raw") for ds in sources])
-    y = np.concatenate([ds.y for ds in sources])
-    dom = np.concatenate([np.full(len(ds), ds.domain, dtype=np.intp) for ds in sources])
-    starts = np.cumsum([0] + [len(ds) for ds in sources])
-    rows = [np.arange(starts[i], starts[i + 1]) for i in range(len(sources))]
-    rng = seed if isinstance(seed, np.random.Generator) else stream(
-        seed, _STREAM_STUDENT_BATCH, 0
-    )
-    for idx in batch_index_stream(rows, batch_size, rng):
-        yield DomainBatch(Tensor(X[idx]), y[idx], dom[idx])
 
 
 def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):

@@ -8,6 +8,7 @@ import pytest
 
 from difex.cli import main
 from difex.data import BenchConfig, DomainDataset, generate, save_csv
+from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
 from difex.model import load_checkpoint
 
 GEN_CFG = """\
@@ -169,6 +170,21 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("manifest", [
+    '["domain_0.csv"]',
+    '{"channels": 2, "files": 5}',
+    '{"channels": "two", "files": ["domain_0.csv"]}',
+])
+def test_malformed_manifest_exits_two(workspace, tmp_path, capsys, manifest):
+    data = tmp_path / "data"
+    data.mkdir()
+    with open(os.path.join(workspace["data"], "domain_0.csv")) as fh:
+        (data / "domain_0.csv").write_text(fh.read())
+    (data / "manifest.json").write_text(manifest)
+    assert main(["motivate", str(data), "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err.startswith("difex: error: ")
+
+
 # -- eval -----------------------------------------------------------------
 
 
@@ -198,6 +214,22 @@ def test_eval_errors(workspace, tmp_path):
     run = workspace["run"]
     assert main(["eval", workspace["data"], "--checkpoint",
                  os.path.join(run, "student.ckpt"), "--target", "9"]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: [1, "teacher"],
+    lambda header: {**header, "in_dim": "wide"},
+    lambda header: {**header, "shapes": 5},
+], ids=["list", "in_dim", "shapes"])
+def test_malformed_checkpoint_header_exits_two(workspace, tmp_path, capsys, edit):
+    with open(os.path.join(workspace["run"], "teacher.ckpt"), "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(edit(header)).encode("utf-8") + b"\n" + blob)
+    assert main(["eval", workspace["data"], "--checkpoint", str(bad),
+                 "--target", "0"]) == 2
+    assert capsys.readouterr().err.startswith("difex: error: ")
 
 
 # -- ablate ---------------------------------------------------------------
@@ -310,6 +342,38 @@ def test_motivate_amplitude_carries_the_domain_gap(tmp_path):
             phase_gap = np.linalg.norm(cols[f"phase_{a}"] - cols[f"phase_{b}"])
             assert phase_gap < 1e-9
             assert amp_gap > 1.0
+
+
+def test_motivate_csv_equals_a_per_sample_rebuild(tmp_path):
+    # the default benchmark: one class-0 sample from each of four domains
+    data = str(tmp_path / "data")
+    assert main(["generate", "--out", data]) == 0
+    out = str(tmp_path / "v.csv")
+    assert main(["motivate", data, "--out", out]) == 0
+    from difex.cli import _load_data_dir
+
+    domains, _ = _load_data_dir(data)
+    assert len(domains) == 4
+    columns, names = [], []
+    for ds in domains:
+        i = int(np.flatnonzero(ds.y == 0)[0])
+        views = {"raw": [], "amp": [], "phase": [], "recon": []}
+        for ch in ds.X[i]:
+            s = fft(ch)
+            views["raw"].append(ch)
+            views["amp"].append(amplitude(s))
+            views["phase"].append(phase(s))
+            views["recon"].append(reconstruct_phase_only(s))
+        for group, parts in views.items():
+            names.append(f"{group}_d{ds.domain}_{i}")
+            columns.append(np.concatenate(parts))
+    n_ch, length = domains[0].X.shape[1:]
+    lines = ["channel,bin," + ",".join(names)]
+    for row in range(n_ch * length):
+        vals = ",".join(repr(float(c[row])) for c in columns)
+        lines.append(f"{row // length},{row % length},{vals}")
+    with open(out, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_motivate_id_errors(workspace, tmp_path):

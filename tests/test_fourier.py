@@ -7,6 +7,7 @@ import pytest
 
 from difex.fourier import (
     Spectrum,
+    _forward_c,
     amplitude,
     dft_naive,
     fft,
@@ -15,6 +16,7 @@ from difex.fourier import (
     per_channel_phase,
     phase,
     reconstruct_phase_only,
+    row_views,
 )
 
 
@@ -243,6 +245,68 @@ def test_per_channel_phase_images():
     assert got.shape == (2, 4, 8)
     for ch in range(2):
         assert np.array_equal(got[ch], phase(fft2(x[ch])))
+
+
+# -- batching: one call over many signals, same bits as one per signal ----
+
+
+def same_spectrum(a: Spectrum, b: Spectrum) -> bool:
+    return np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
+
+
+def test_fft2_equals_row_then_column_loops():
+    rng = np.random.default_rng(20)
+    for shape in ((1, 1), (3, 5), (4, 8), (6, 12), (16, 16)):
+        x = rng.normal(size=shape)
+        c = np.stack([_forward_c(row) for row in x.astype(np.complex128)])
+        c = np.stack([_forward_c(col) for col in c.T]).T
+        assert same_spectrum(fft2(x), Spectrum(c.real, c.imag))
+
+
+def test_row_views_equal_the_per_row_views():
+    rng = np.random.default_rng(22)
+    for n in (1, 7, 12, 32):
+        x = rng.normal(size=(3, 4, n))
+        amp, ph, recon = row_views(x)
+        for i in range(3):
+            for j in range(4):
+                s = fft(x[i, j])
+                assert np.array_equal(amp[i, j], amplitude(s))
+                assert np.array_equal(ph[i, j], phase(s))
+                assert np.array_equal(recon[i, j], reconstruct_phase_only(s))
+    with pytest.raises(ValueError):
+        row_views(np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("n", [7, 12, 16])
+def test_per_channel_phase_rows_equal_the_per_channel_loop(n):
+    x = np.random.default_rng(n).normal(size=(9, n))
+    want = np.stack([phase(fft(ch)) for ch in x])
+    assert np.array_equal(per_channel_phase(x), want)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 8), (2, 5, 7), (2, 6, 12)])
+def test_per_channel_phase_images_equal_the_per_image_loop(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    want = np.stack([phase(fft2(ch)) for ch in x])
+    assert np.array_equal(per_channel_phase(x), want)
+
+
+def test_batched_phase_judges_dead_bins_per_signal():
+    # a quiet signal batched next to loud ones keeps its own phase: its
+    # bins are small next to the batch maximum, not next to its own
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(4, 16))
+    rows[2] *= 1e-12
+    got = per_channel_phase(rows)
+    assert np.array_equal(got[2], phase(fft(rows[2])))
+    assert np.count_nonzero(got[2]) > 8
+    assert np.array_equal(row_views(rows)[1][2], phase(fft(rows[2])))
+    images = rng.normal(size=(3, 4, 8))
+    images[1] *= 1e-12
+    got = per_channel_phase(images)
+    assert np.array_equal(got[1], phase(fft2(images[1])))
+    assert np.count_nonzero(got[1]) > 16
 
 
 # -- error contracts ------------------------------------------------------

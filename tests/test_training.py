@@ -6,6 +6,7 @@ import pytest
 
 from difex.autodiff import AdamW, Tensor, softmax_cross_entropy
 from difex.data import BenchConfig, generate
+from difex.fourier import fft, phase
 from difex.losses import LossWeights
 from difex.model import StudentModel
 from difex.training import (
@@ -15,6 +16,7 @@ from difex.training import (
     batch_index_stream,
     effective_weights,
     evaluate,
+    flatten_features,
     run_leave_one_out,
     train_student,
     train_teacher,
@@ -333,3 +335,19 @@ def test_leave_one_out_run_scores_the_held_out_domain():
     assert result.target_accuracy == evaluate(result.model, [domains[2]])
     erm = run_leave_one_out(domains, 2, tiny_cfg(mode="erm", epochs=2))
     assert erm.teacher is None
+
+
+# -- phase features -------------------------------------------------------
+
+
+def phase_rows_per_sample(X):
+    rows = [np.concatenate([phase(fft(ch)) for ch in x]) for x in X]
+    return np.stack(rows)
+
+
+def test_phase_features_equal_the_per_sample_loop():
+    X = np.concatenate([ds.X for ds in generate(BenchConfig())])
+    assert np.array_equal(flatten_features(X, "phase"), phase_rows_per_sample(X))
+    for sub in (X[::7], X[np.arange(len(X) - 1, 0, -13)], X[:, ::-1]):
+        assert np.array_equal(flatten_features(sub, "phase"),
+                              phase_rows_per_sample(sub))
