@@ -7,6 +7,13 @@ graph and runs the closures once each, newest first.
 
 Everything is 64-bit and single-threaded; tensors are treated as immutable
 once created (the optimizer is the only mutator, between graphs).
+
+Finiteness is checked at the edges of a step, not at every node: a
+``Tensor`` built from outside data rejects NaN/Inf, ``backward`` rejects a
+non-finite loss before it runs, and ``AdamW.step`` rejects a non-finite
+update before writing it back. Op outputs skip the check, since a
+non-finite intermediate either reaches the loss or poisons a gradient
+and so the parameters.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ __all__ = [
     "Tensor",
     "add_bias",
     "concat_cols",
+    "dense",
     "matmul",
     "relu",
     "rowwise_div",
@@ -50,13 +58,23 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backprop")
 
-    def __init__(self, data, _parents=(), _backprop=None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor")
         self.data = arr
         self.grad = None
-        self._parents = _parents
-        self._backprop = _backprop
+        self._parents = ()
+        self._backprop = None
+
+    @classmethod
+    def _op(cls, data, parents):
+        """Output of an op: no finite check, ``_backprop`` set by the caller."""
+        out = cls.__new__(cls)
+        out.data = np.asarray(data)  # numpy reductions return scalars
+        out.grad = None
+        out._parents = parents
+        out._backprop = None
+        return out
 
     @property
     def shape(self):
@@ -71,6 +89,7 @@ class Tensor:
         """Populate ``grad`` on every tensor reachable from this scalar."""
         if self.data.size != 1:
             raise ValueError("backward root must be a scalar")
+        _check_finite(self.data, "loss")
         topo = _topo_order(self)
         for node in topo:
             node.grad = np.zeros_like(node.data)
@@ -84,7 +103,7 @@ class Tensor:
     def __add__(self, other):
         other = _as_tensor(other)
         _same_shape(self, other, "add")
-        out = Tensor(self.data + other.data, (self, other))
+        out = Tensor._op(self.data + other.data, (self, other))
 
         def backprop():
             self.grad += out.grad
@@ -96,7 +115,7 @@ class Tensor:
     def __sub__(self, other):
         other = _as_tensor(other)
         _same_shape(self, other, "sub")
-        out = Tensor(self.data - other.data, (self, other))
+        out = Tensor._op(self.data - other.data, (self, other))
 
         def backprop():
             self.grad += out.grad
@@ -109,7 +128,7 @@ class Tensor:
         if isinstance(other, (int, float)):
             return self.scale(float(other))
         _same_shape(self, other, "mul")
-        out = Tensor(self.data * other.data, (self, other))
+        out = Tensor._op(self.data * other.data, (self, other))
 
         def backprop():
             self.grad += out.grad * other.data
@@ -128,7 +147,7 @@ class Tensor:
         return matmul(self, other)
 
     def scale(self, s: float):
-        out = Tensor(self.data * s, (self,))
+        out = Tensor._op(self.data * s, (self,))
 
         def backprop():
             self.grad += out.grad * s
@@ -138,7 +157,7 @@ class Tensor:
 
     def relu(self):
         # subgradient at 0 is taken as 0
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
+        out = Tensor._op(np.maximum(self.data, 0.0), (self,))
 
         def backprop():
             self.grad += out.grad * (self.data > 0.0)
@@ -147,7 +166,7 @@ class Tensor:
         return out
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
+        out = Tensor._op(np.tanh(self.data), (self,))
 
         def backprop():
             self.grad += out.grad * (1.0 - out.data * out.data)
@@ -156,7 +175,7 @@ class Tensor:
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), (self,))
+        out = Tensor._op(np.sqrt(self.data), (self,))
 
         def backprop():
             self.grad += out.grad / (2.0 * out.data)
@@ -165,7 +184,7 @@ class Tensor:
         return out
 
     def abs(self):
-        out = Tensor(np.abs(self.data), (self,))
+        out = Tensor._op(np.abs(self.data), (self,))
 
         def backprop():
             self.grad += out.grad * np.sign(self.data)
@@ -175,7 +194,7 @@ class Tensor:
 
     @property
     def T(self):
-        out = Tensor(self.data.T.copy(), (self,))
+        out = Tensor._op(self.data.T.copy(), (self,))
 
         def backprop():
             self.grad += out.grad.T
@@ -223,7 +242,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul: inner dims disagree {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, (a, b))
+    out = Tensor._op(a.data @ b.data, (a, b))
 
     def backprop():
         a.grad += out.grad @ b.data.T
@@ -237,15 +256,29 @@ def relu(a: Tensor) -> Tensor:
     return a.relu()
 
 
-def tanh(a: Tensor) -> Tensor:
-    return a.tanh()
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` as one node; same bits as
+    ``add_bias(matmul(x, w), b)``."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.data.shape[1] != w.data.shape[0]
+            or w.data.shape[1] != b.data.shape[0]):
+        raise ValueError(f"dense: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = Tensor._op(x.data @ w.data + b.data, (x, w, b))
+
+    def backprop():
+        b.grad += out.grad.sum(axis=0)
+        x.grad += out.grad @ w.data.T
+        w.grad += x.data.T @ out.grad
+
+    out._backprop = backprop
+    return out
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-h bias vector to every row of a B-by-h matrix."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"add_bias: {x.data.shape} + {b.data.shape}")
-    out = Tensor(x.data + b.data, (x, b))
+    out = Tensor._op(x.data + b.data, (x, b))
 
     def backprop():
         x.grad += out.grad
@@ -256,7 +289,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), (a,))
+    out = Tensor._op(a.data.sum(), (a,))
 
     def backprop():
         a.grad += out.grad
@@ -269,7 +302,7 @@ def sum_rows(x: Tensor) -> Tensor:
     """Row sums of a B-by-d matrix, as a length-B vector."""
     if x.data.ndim != 2:
         raise ValueError("sum_rows expects a matrix")
-    out = Tensor(x.data.sum(axis=1), (x,))
+    out = Tensor._op(x.data.sum(axis=1), (x,))
 
     def backprop():
         x.grad += out.grad[:, None]
@@ -282,7 +315,7 @@ def rowwise_div(x: Tensor, s: Tensor) -> Tensor:
     """Divide row b of x by scalar s[b]."""
     if x.data.ndim != 2 or s.data.ndim != 1 or x.data.shape[0] != s.data.shape[0]:
         raise ValueError(f"rowwise_div: {x.data.shape} / {s.data.shape}")
-    out = Tensor(x.data / s.data[:, None], (x, s))
+    out = Tensor._op(x.data / s.data[:, None], (x, s))
 
     def backprop():
         x.grad += out.grad / s.data[:, None]
@@ -308,7 +341,7 @@ def squash_rows(x: Tensor, radius: float = 1.0) -> Tensor:
         raise ValueError(f"radius must be positive, got {radius}")
     r = np.sqrt((x.data * x.data).sum(axis=1) + 1e-300)
     g = 1.0 / (1.0 + r / radius)
-    out = Tensor(x.data * g[:, None], (x,))
+    out = Tensor._op(x.data * g[:, None], (x,))
 
     def backprop():
         # d/dx [g(r)·x] = g·I + (dg/dr)·x xᵀ/r, with dg/dr = −g²/radius
@@ -325,7 +358,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat_cols: {a.data.shape} | {b.data.shape}")
     p = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), (a, b))
+    out = Tensor._op(np.concatenate([a.data, b.data], axis=1), (a, b))
 
     def backprop():
         a.grad += out.grad[:, :p]
@@ -338,7 +371,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 def take_rows(x: Tensor, idx) -> Tensor:
     """Gather rows by integer index; gradient scatter-adds back."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx], (x,))
+    out = Tensor._op(x.data[idx], (x,))
 
     def backprop():
         np.add.at(x.grad, idx, out.grad)
@@ -360,7 +393,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     losses = lse - shifted[np.arange(n), labels]
-    out = Tensor(losses.mean(), (logits,))
+    out = Tensor._op(losses.mean(), (logits,))
 
     def backprop():
         p = np.exp(shifted)
@@ -397,27 +430,45 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        self.m = np.zeros(size)  # first moments, parameters laid end to end
+        self.v = np.zeros(size)
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        """One update of every parameter as a single flat vector.
+
+        Parameters and gradients are gathered afresh each step, so a
+        caller may reassign ``p.data`` between steps. A non-finite result
+        raises before anything is written back: parameters, moments and
+        step count stay as they were.
+        """
+        grads = []
+        for p in self.params:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError("gradient/parameter shape mismatch")
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            _check_finite(p.data, "parameter after optimizer step")
+            grads.append(g.ravel())
+        g = np.concatenate(grads)
+        x = np.concatenate([p.data.ravel() for p in self.params])
+        t = self.t + 1
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        if self.weight_decay:
+            x -= self.lr * self.weight_decay * x
+        m = self.m + (1.0 - self.beta1) * (g - self.m)
+        v = self.v + (1.0 - self.beta2) * (g * g - self.v)
+        x -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        _check_finite(x, "parameter after optimizer step")
+        self.t, self.m, self.v = t, m, v
+        offset = 0
+        for p in self.params:
+            n = p.data.size
+            p.data = x[offset : offset + n].reshape(p.data.shape)
+            offset += n
 
 
 # -- the gradient oracle -------------------------------------------------

@@ -40,7 +40,6 @@ from .model import TeacherModel
 
 __all__ = [
     "DataError",
-    "Sample",
     "DomainDataset",
     "BenchConfig",
     "generate",
@@ -53,13 +52,6 @@ __all__ = [
 
 class DataError(ValueError):
     """Malformed dataset files or invalid benchmark configuration."""
-
-
-@dataclass
-class Sample:
-    x: np.ndarray  # channels x length
-    y: int
-    domain: int
 
 
 @dataclass
@@ -80,10 +72,6 @@ class DomainDataset:
 
     def __len__(self):
         return self.X.shape[0]
-
-    def samples(self):
-        for i in range(len(self)):
-            yield Sample(self.X[i], int(self.y[i]), self.domain)
 
 
 def _frac_bins(length, fracs):
@@ -503,10 +491,15 @@ def _manifest_channels(path):
         )
     with open(manifest, "r", encoding="utf-8") as fh:
         try:
-            meta = json.load(fh)
-            return int(meta["channels"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            channels = json.load(fh)["channels"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{manifest}: cannot read channel count: {exc}") from None
+    # no int() coercion: it would read 2.9 as 2 channels and true as 1
+    if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
+        raise DataError(
+            f'{manifest}: "channels" must be a positive integer, got {channels!r}'
+        )
+    return channels
 
 
 def load_csv(path, channels=None) -> DomainDataset:

@@ -20,7 +20,6 @@ from .autodiff import (
     sum_all,
     sum_rows,
     rowwise_div,
-    take_rows,
 )
 
 __all__ = [
@@ -77,14 +76,27 @@ class DomainBatch:
 
 
 def mse_distill(student_feat: Tensor, teacher_feat) -> Tensor:
-    """Mean squared gap to the teacher's features; teacher is a constant."""
-    target = teacher_feat.data if isinstance(teacher_feat, Tensor) else np.asarray(teacher_feat)
+    """Mean squared gap to the teacher's features; teacher is a constant.
+
+    One graph node, with the bits of ``sum_all(diff * diff).scale(1/size)``.
+    """
+    target = teacher_feat.data if isinstance(teacher_feat, Tensor) else np.asarray(
+        teacher_feat, dtype=np.float64
+    )
     if student_feat.data.shape != target.shape:
         raise ValueError(
             f"feature shapes differ: {student_feat.data.shape} vs {target.shape}"
         )
-    diff = student_feat - Tensor(target)
-    return sum_all(diff * diff).scale(1.0 / diff.data.size)
+    diff = student_feat.data - target
+    s = 1.0 / diff.size
+    out = Tensor._op((diff * diff).sum() * s, (student_feat,))
+
+    def backprop():
+        gd = out.grad * s * diff
+        student_feat.grad += gd + gd
+
+    out._backprop = backprop
+    return out
 
 
 def covariance(X: Tensor) -> Tensor:
@@ -100,32 +112,87 @@ def covariance(X: Tensor) -> Tensor:
 
 def coral_loss(batch: DomainBatch) -> Tensor:
     """Mean squared Frobenius distance between per-domain covariances,
-    over unordered domain pairs."""
+    over unordered domain pairs.
+
+    One graph node over the features. Its forward is ``covariance`` of
+    each domain's rows, array layouts included, then the pair terms summed
+    in order (0,1), (0,2), ..., (1,2), ...; its backward replays the
+    gradient steps of that chain of ops in the order the tape runs them, so
+    value and gradient have the same bits as the unfused chain. In
+    particular each covariance collects its pair gradients in forward pair
+    order: from four domains on, any other order changes the rounding.
+    """
+    F = batch.features
     present = np.unique(batch.domain_ids)
     if present.size < 2:
         raise ValueError("alignment needs at least 2 domains in the batch")
-    covs = []
+    groups, covs = [], []
     for d in present:
         rows = np.flatnonzero(batch.domain_ids == d)
-        if rows.size < 2:
-            raise ValueError(f"domain {d} has {rows.size} sample(s); need >= 2")
-        covs.append(covariance(take_rows(batch.features, rows)))
+        n = rows.size
+        if n < 2:
+            raise ValueError(f"domain {d} has {n} sample(s); need >= 2")
+        X = F.data[rows]
+        XT = X.T.copy()
+        ones = np.ones((1, n))
+        colsum = ones @ X
+        colsumT = colsum.T.copy()
+        covs.append((XT @ X - (colsumT @ colsum) * (1.0 / n)) * (1.0 / (n - 1)))
+        groups.append((rows, X, XT, ones, colsum, colsumT))
+    pairs = []
     total = None
     for i in range(len(covs)):
         for j in range(i + 1, len(covs)):
             diff = covs[i] - covs[j]
-            term = sum_all(diff * diff)
+            term = (diff * diff).sum()
             total = term if total is None else total + term
-    npairs = len(covs) * (len(covs) - 1) // 2
-    return total.scale(1.0 / npairs)
+            pairs.append((i, j, diff))
+    s = 1.0 / len(pairs)
+    out = Tensor._op(total * s, (F,))
+
+    def backprop():
+        g = out.grad * s
+        cov_grads = [np.zeros_like(cov) for cov in covs]
+        for i, j, diff in pairs:
+            gd = g * diff
+            gd = gd + gd
+            cov_grads[i] += gd
+            cov_grads[j] -= gd
+        for (rows, X, XT, ones, colsum, colsumT), gc in zip(groups, cov_grads):
+            n = rows.size
+            g_gram = gc * (1.0 / (n - 1))
+            g_outer = -g_gram * (1.0 / n)
+            g_XT = g_gram @ X.T
+            g_colsumT = g_outer @ colsum.T
+            g_colsum = colsumT.T @ g_outer + g_colsumT.T
+            # the tape adds X's three gradients as gram, transpose, column sums
+            g_X = XT.T @ g_gram + g_XT.T + ones.T @ g_colsum
+            F.grad[rows] += g_X
+
+    out._backprop = backprop
+    return out
 
 
 def exploration_l2(z1: Tensor, z2: Tensor) -> Tensor:
-    """Negative mean squared distance between paired rows (push apart)."""
+    """Negative mean squared distance between paired rows (push apart).
+
+    One graph node, with the bits of
+    ``sum_all((z1 - z2) * (z1 - z2)).scale(-1/rows)``.
+    """
     if z1.data.shape != z2.data.shape:
         raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
-    diff = z1 - z2
-    return sum_all(diff * diff).scale(-1.0 / z1.data.shape[0])
+    diff = z1.data - z2.data
+    s = -1.0 / z1.data.shape[0]
+    out = Tensor._op((diff * diff).sum() * s, (z1, z2))
+
+    def backprop():
+        gd = out.grad * s * diff
+        gd = gd + gd
+        z1.grad += gd
+        z2.grad -= gd
+
+    out._backprop = backprop
+    return out
 
 
 def exploration_norm_l1(z1: Tensor, z2: Tensor) -> Tensor:

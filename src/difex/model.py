@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add_bias, concat_cols, matmul, squash_rows
+from .autodiff import Tensor, concat_cols, dense, squash_rows
 
 __all__ = [
     "TeacherModel",
@@ -43,10 +43,6 @@ def _init_weight(rng, fan_in, fan_out):
     if rng is None:
         return Tensor(np.zeros((fan_in, fan_out)))
     return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-
-
-def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add_bias(matmul(x, w), b)
 
 
 def _squash_np(pre: np.ndarray) -> np.ndarray:
@@ -78,9 +74,9 @@ class TeacherModel:
 
     def forward(self, x: Tensor):
         """Graph-building pass; returns (features, logits)."""
-        h = _dense(x, self.w1, self.b1).relu()
-        feat = _dense(h, self.w2, self.b2).tanh()
-        logits = _dense(feat, self.wc, self.bc)
+        h = dense(x, self.w1, self.b1).relu()
+        feat = dense(h, self.w2, self.b2).tanh()
+        logits = dense(feat, self.wc, self.bc)
         return feat, logits
 
     def forward_np(self, x: np.ndarray):
@@ -141,10 +137,10 @@ class StudentModel:
         ]
 
     def forward(self, x: Tensor) -> StudentOutputs:
-        h = _dense(x, self.w1, self.b1).relu()
-        z1 = squash_rows(_dense(h, self.wz1, self.bz1))
-        z2 = squash_rows(_dense(h, self.wz2, self.bz2))
-        logits = _dense(concat_cols(z1, z2), self.wc, self.bc)
+        h = dense(x, self.w1, self.b1).relu()
+        z1 = squash_rows(dense(h, self.wz1, self.bz1))
+        z2 = squash_rows(dense(h, self.wz2, self.bz2))
+        logits = dense(concat_cols(z1, z2), self.wc, self.bc)
         return StudentOutputs(z1=z1, z2=z2, logits=logits)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:

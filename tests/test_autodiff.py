@@ -11,6 +11,7 @@ from difex.autodiff import (
     add_bias,
     backward,
     concat_cols,
+    dense,
     finite_difference_grad,
     matmul,
     rowwise_div,
@@ -352,6 +353,70 @@ def test_adamw_rejects_mismatched_grad():
         opt.step()
 
 
+class LoopAdamW:
+    """The per-tensor update the flat AdamW must reproduce bit for bit."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2 = betas
+        self.eps, self.t = eps, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            p.data -= self.lr * self.weight_decay * p.data
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop():
+    rng = np.random.default_rng(12)
+    shapes = [(4, 3), (3,), (2, 5), (1,)]
+    init = [rng.normal(size=s) for s in shapes]
+    flat = [Tensor(a) for a in init]
+    loop = [Tensor(a) for a in init]
+    opts = (AdamW(flat, lr=1e-2, weight_decay=5e-4), LoopAdamW(loop, 1e-2, 5e-4))
+    snap = None
+    for step in range(5):
+        grads = [rng.normal(size=s) for s in shapes]
+        grads[3] = None  # an unreachable parameter steps on a zero gradient
+        for params, opt in zip((flat, loop), opts):
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+        for p, q in zip(flat, loop):
+            assert np.array_equal(p.data, q.data)
+        if step == 1:
+            snap = [p.data.copy() for p in flat]
+        if step == 2:  # restore an earlier snapshot, as best-epoch selection does
+            for p, q, a in zip(flat, loop, snap):
+                p.data, q.data = a.copy(), a.copy()
+
+
+def test_dense_is_bit_identical_to_add_bias_of_matmul():
+    rng = np.random.default_rng(13)
+    x0, w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    up = rng.normal(size=(6, 3))
+    results = []
+    for layer in (dense, lambda x, w, b: add_bias(matmul(x, w), b)):
+        x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
+        out = layer(x, w, b)
+        (sum_all(out * Tensor(up)) + sum_all(x * x)).backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        dense(Tensor(x0), Tensor(w0), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError):
+        dense(Tensor(x0), Tensor(w0.T), Tensor(b0))
+
+
 # -- non-finite guard -----------------------------------------------------
 
 
@@ -374,6 +439,27 @@ def test_optimizer_step_guards_parameters():
         p.grad = np.array([1.0])
         with pytest.raises(NonFiniteError):
             opt.step()
+
+
+def test_backward_rejects_a_non_finite_loss():
+    with np.errstate(over="ignore"):
+        loss = sum_all(Tensor([1e308, 1e308]))
+    with pytest.raises(NonFiniteError):
+        loss.backward()
+
+
+def test_overflowing_step_writes_nothing_back():
+    # the first parameter's update is finite, the second's overflows: the
+    # step must raise with both parameters and the moments untouched
+    a, b = Tensor([1.0, -2.0]), Tensor([-1e308])
+    opt = AdamW([a, b], lr=1e308, weight_decay=0.0)
+    a.grad, b.grad = np.array([0.5, 0.5]), np.array([1.0])
+    before = [a.data.copy(), b.data.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            opt.step()
+    assert np.array_equal(a.data, before[0]) and np.array_equal(b.data, before[1])
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
 
 # -- determinism ----------------------------------------------------------

@@ -307,6 +307,17 @@ def test_csv_channel_count_from_manifest(tmp_path):
     assert back.X.shape == ds.X.shape
 
 
+@pytest.mark.parametrize("value", ["2.9", "true", '"2"'])
+def test_csv_manifest_channel_count_must_be_an_integer(tmp_path, value):
+    # int() once accepted each of these: 2.9 loaded as 2 channels, true as 1
+    ds = generate(small_cfg(per_class=2))[0]
+    path = tmp_path / "domain_0.csv"
+    save_csv(ds, path)
+    (tmp_path / "manifest.json").write_text(f'{{"channels": {value}}}')
+    with pytest.raises(DataError, match="channels"):
+        load_csv(path)
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         DomainDataset(0, np.zeros((3, 2)), np.zeros(3))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from difex.autodiff import Tensor, finite_difference_grad
+from difex.autodiff import Tensor, finite_difference_grad, sum_all, take_rows
 from difex.losses import (
     DomainBatch,
     LossWeights,
@@ -156,6 +156,43 @@ def test_alignment_input_validation():
         coral_loss(batch_of(feats, np.zeros(6, dtype=int)))
     with pytest.raises(ValueError):
         coral_loss(batch_of(feats, np.array([0, 0, 0, 0, 0, 1])))
+
+
+def coral_chain(batch: DomainBatch):
+    """The unfused op chain coral_loss must reproduce bit for bit."""
+    ids = batch.domain_ids
+    covs = [
+        covariance(take_rows(batch.features, np.flatnonzero(ids == d)))
+        for d in np.unique(ids)
+    ]
+    total = None
+    for i in range(len(covs)):
+        for j in range(i + 1, len(covs)):
+            diff = covs[i] - covs[j]
+            term = sum_all(diff * diff)
+            total = term if total is None else total + term
+    return total.scale(1.0 / (len(covs) * (len(covs) - 1) // 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_alignment_is_bit_identical_to_the_op_chain(k):
+    # ragged, interleaved groups; a second branch also feeds the features,
+    # so their gradient sums contributions in the order the tape runs them
+    rng = np.random.default_rng(100 + k)
+    sizes = [2, 5, 3, 7, 4, 6][:k]
+    ids = rng.permutation(np.repeat(np.arange(k), sizes))
+    f0 = rng.normal(size=(len(ids), 5))
+    const = rng.normal(size=f0.shape)
+    results = []
+    for align in (coral_loss, coral_chain):
+        leaf = Tensor(f0)
+        loss = align(batch_of_tensor(leaf, ids))
+        total = loss.scale(0.7) + sum_all(leaf * Tensor(const))
+        total.backward()
+        results.append((loss.data, leaf.grad))
+    (fused, fused_grad), (chain, chain_grad) = results
+    assert np.array_equal(fused, chain)
+    assert np.array_equal(fused_grad, chain_grad)
 
 
 # -- exploration ----------------------------------------------------------
@@ -330,6 +367,34 @@ def test_total_gradient_matches_differences():
         lambda a: float(run(a)[1].data), z1_0.copy()
     )
     assert rel_err(out.z1.grad, numeric) < 1e-4
+
+
+def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
+    # each is one node; the op chain it replaced is the oracle
+    rng = np.random.default_rng(21)
+    a0, b0, t = (rng.normal(size=(9, 4)) for _ in range(3))
+
+    def mse_chain(a, b):
+        diff = a - Tensor(t)
+        return sum_all(diff * diff).scale(1.0 / t.size)
+
+    def exploration_chain(a, b):
+        diff = a - b
+        return sum_all(diff * diff).scale(-1.0 / a.data.shape[0])
+
+    pairs = (
+        (lambda a, b: mse_distill(a, t), mse_chain),
+        (exploration_l2, exploration_chain),
+    )
+    for fused, chain in pairs:
+        results = []
+        for term in (fused, chain):
+            a, b = Tensor(a0), Tensor(b0)
+            loss = term(a, b)
+            (loss.scale(0.3) + sum_all(a * b)).backward()
+            results.append((loss.data, a.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 # -- config types ---------------------------------------------------------

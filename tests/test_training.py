@@ -4,10 +4,10 @@ that the all-weights-zero path is a plain classifier loop, bit for bit."""
 import numpy as np
 import pytest
 
-from difex.autodiff import AdamW, Tensor, softmax_cross_entropy
+from difex.autodiff import AdamW, NonFiniteError, Tensor, softmax_cross_entropy
 from difex.data import BenchConfig, generate
 from difex.fourier import fft, phase
-from difex.losses import LossWeights
+from difex.losses import DomainBatch, LossWeights, total_objective
 from difex.model import StudentModel
 from difex.training import (
     MODES,
@@ -228,6 +228,31 @@ def test_erm_mode_matches_standalone_loop_bitwise():
         assert np.array_equal(p.data, q.data)
     assert result.selected_epoch == twin_epoch
     assert result.val_accuracy == twin_acc
+
+
+def test_inf_planted_in_a_weight_stops_training():
+    # op outputs are not checked one by one; the check on the loss and on
+    # the updated parameters must still catch an Inf set between steps
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 16))
+    y = rng.integers(0, 4, size=12)
+    domain_ids = np.repeat([0, 1, 2], 4)
+    teacher_feat = np.tanh(rng.normal(size=(12, 4)))
+    model = StudentModel(16, 16, 8, 4, rng)
+    opt = AdamW(model.params())
+
+    def step():
+        xb = Tensor(x)
+        batch = DomainBatch(xb, y, domain_ids)
+        total, _ = total_objective(batch, teacher_feat, model.forward(xb), LossWeights())
+        opt.zero_grad()
+        total.backward()
+        opt.step()
+
+    step()
+    model.w1.data[0, 0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        step()
 
 
 def test_full_mode_actually_changes_the_trajectory():
