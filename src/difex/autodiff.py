@@ -3,7 +3,13 @@
 The graph is define-by-run: every operation allocates a fresh output tensor
 holding a closure that knows how to push gradients to its parents. Calling
 ``Tensor.backward()`` on a scalar loss topologically sorts the recorded
-graph and runs the closures once each, newest first.
+graph and runs the closures once each, newest first, passing each the
+gradient of its own output.
+
+No closure refers to the tensor that holds it (one that needs the output
+values captures the output array instead), so graphs are acyclic: a step's
+graph is freed by reference counting as soon as its loss is dropped,
+without a pass of the cyclic garbage collector.
 
 Everything is 64-bit and single-threaded; tensors are treated as immutable
 once created (the optimizer is the only mutator, between graphs).
@@ -91,12 +97,12 @@ class Tensor:
             raise ValueError("backward root must be a scalar")
         _check_finite(self.data, "loss")
         topo = _topo_order(self)
-        for node in topo:
-            node.grad = np.zeros_like(node.data)
+        for node in topo:  # all tape data is float64
+            node.grad = np.zeros(node.data.shape)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backprop is not None:
-                node._backprop()
+                node._backprop(node.grad)
 
     # -- operators -------------------------------------------------------
 
@@ -105,9 +111,9 @@ class Tensor:
         _same_shape(self, other, "add")
         out = Tensor._op(self.data + other.data, (self, other))
 
-        def backprop():
-            self.grad += out.grad
-            other.grad += out.grad
+        def backprop(g):
+            self.grad += g
+            other.grad += g
 
         out._backprop = backprop
         return out
@@ -117,9 +123,9 @@ class Tensor:
         _same_shape(self, other, "sub")
         out = Tensor._op(self.data - other.data, (self, other))
 
-        def backprop():
-            self.grad += out.grad
-            other.grad -= out.grad
+        def backprop(g):
+            self.grad += g
+            other.grad -= g
 
         out._backprop = backprop
         return out
@@ -130,9 +136,9 @@ class Tensor:
         _same_shape(self, other, "mul")
         out = Tensor._op(self.data * other.data, (self, other))
 
-        def backprop():
-            self.grad += out.grad * other.data
-            other.grad += out.grad * self.data
+        def backprop(g):
+            self.grad += g * other.data
+            other.grad += g * self.data
 
         out._backprop = backprop
         return out
@@ -149,8 +155,8 @@ class Tensor:
     def scale(self, s: float):
         out = Tensor._op(self.data * s, (self,))
 
-        def backprop():
-            self.grad += out.grad * s
+        def backprop(g):
+            self.grad += g * s
 
         out._backprop = backprop
         return out
@@ -159,26 +165,28 @@ class Tensor:
         # subgradient at 0 is taken as 0
         out = Tensor._op(np.maximum(self.data, 0.0), (self,))
 
-        def backprop():
-            self.grad += out.grad * (self.data > 0.0)
+        def backprop(g):
+            self.grad += g * (self.data > 0.0)
 
         out._backprop = backprop
         return out
 
     def tanh(self):
-        out = Tensor._op(np.tanh(self.data), (self,))
+        y = np.tanh(self.data)
+        out = Tensor._op(y, (self,))
 
-        def backprop():
-            self.grad += out.grad * (1.0 - out.data * out.data)
+        def backprop(g):
+            self.grad += g * (1.0 - y * y)
 
         out._backprop = backprop
         return out
 
     def sqrt(self):
-        out = Tensor._op(np.sqrt(self.data), (self,))
+        y = np.sqrt(self.data)
+        out = Tensor._op(y, (self,))
 
-        def backprop():
-            self.grad += out.grad / (2.0 * out.data)
+        def backprop(g):
+            self.grad += g / (2.0 * y)
 
         out._backprop = backprop
         return out
@@ -186,8 +194,8 @@ class Tensor:
     def abs(self):
         out = Tensor._op(np.abs(self.data), (self,))
 
-        def backprop():
-            self.grad += out.grad * np.sign(self.data)
+        def backprop(g):
+            self.grad += g * np.sign(self.data)
 
         out._backprop = backprop
         return out
@@ -196,8 +204,8 @@ class Tensor:
     def T(self):
         out = Tensor._op(self.data.T.copy(), (self,))
 
-        def backprop():
-            self.grad += out.grad.T
+        def backprop(g):
+            self.grad += g.T
 
         out._backprop = backprop
         return out
@@ -222,12 +230,12 @@ def _topo_order(root):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent not in seen:
                 stack.append((parent, False))
     return order
 
@@ -244,9 +252,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = Tensor._op(a.data @ b.data, (a, b))
 
-    def backprop():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def backprop(g):
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
     out._backprop = backprop
     return out
@@ -265,10 +273,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"dense: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
     out = Tensor._op(x.data @ w.data + b.data, (x, w, b))
 
-    def backprop():
-        b.grad += out.grad.sum(axis=0)
-        x.grad += out.grad @ w.data.T
-        w.grad += x.data.T @ out.grad
+    def backprop(g):
+        b.grad += g.sum(axis=0)
+        x.grad += g @ w.data.T
+        w.grad += x.data.T @ g
 
     out._backprop = backprop
     return out
@@ -280,9 +288,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add_bias: {x.data.shape} + {b.data.shape}")
     out = Tensor._op(x.data + b.data, (x, b))
 
-    def backprop():
-        x.grad += out.grad
-        b.grad += out.grad.sum(axis=0)
+    def backprop(g):
+        x.grad += g
+        b.grad += g.sum(axis=0)
 
     out._backprop = backprop
     return out
@@ -291,8 +299,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor._op(a.data.sum(), (a,))
 
-    def backprop():
-        a.grad += out.grad
+    def backprop(g):
+        a.grad += g
 
     out._backprop = backprop
     return out
@@ -304,8 +312,8 @@ def sum_rows(x: Tensor) -> Tensor:
         raise ValueError("sum_rows expects a matrix")
     out = Tensor._op(x.data.sum(axis=1), (x,))
 
-    def backprop():
-        x.grad += out.grad[:, None]
+    def backprop(g):
+        x.grad += g[:, None]
 
     out._backprop = backprop
     return out
@@ -317,9 +325,9 @@ def rowwise_div(x: Tensor, s: Tensor) -> Tensor:
         raise ValueError(f"rowwise_div: {x.data.shape} / {s.data.shape}")
     out = Tensor._op(x.data / s.data[:, None], (x, s))
 
-    def backprop():
-        x.grad += out.grad / s.data[:, None]
-        s.grad -= (out.grad * x.data).sum(axis=1) / (s.data * s.data)
+    def backprop(g):
+        x.grad += g / s.data[:, None]
+        s.grad -= (g * x.data).sum(axis=1) / (s.data * s.data)
 
     out._backprop = backprop
     return out
@@ -343,11 +351,11 @@ def squash_rows(x: Tensor, radius: float = 1.0) -> Tensor:
     g = 1.0 / (1.0 + r / radius)
     out = Tensor._op(x.data * g[:, None], (x,))
 
-    def backprop():
+    def backprop(g_out):
         # d/dx [g(r)·x] = g·I + (dg/dr)·x xᵀ/r, with dg/dr = −g²/radius
-        xu = (out.grad * x.data).sum(axis=1)
+        xu = (g_out * x.data).sum(axis=1)
         coef = xu * g * g / (radius * r)
-        x.grad += out.grad * g[:, None] - x.data * coef[:, None]
+        x.grad += g_out * g[:, None] - x.data * coef[:, None]
 
     out._backprop = backprop
     return out
@@ -360,9 +368,9 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     p = a.data.shape[1]
     out = Tensor._op(np.concatenate([a.data, b.data], axis=1), (a, b))
 
-    def backprop():
-        a.grad += out.grad[:, :p]
-        b.grad += out.grad[:, p:]
+    def backprop(g):
+        a.grad += g[:, :p]
+        b.grad += g[:, p:]
 
     out._backprop = backprop
     return out
@@ -373,8 +381,8 @@ def take_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor._op(x.data[idx], (x,))
 
-    def backprop():
-        np.add.at(x.grad, idx, out.grad)
+    def backprop(g):
+        np.add.at(x.grad, idx, g)
 
     out._backprop = backprop
     return out
@@ -395,11 +403,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     losses = lse - shifted[np.arange(n), labels]
     out = Tensor._op(losses.mean(), (logits,))
 
-    def backprop():
+    def backprop(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        logits.grad += out.grad * p / n
+        logits.grad += g * p / n
 
     out._backprop = backprop
     return out

@@ -21,19 +21,11 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NonFiniteError
-from .data import BenchConfig, DataError, generate, leave_one_out, load_csv, save_csv
+from .data import BenchConfig, DataError, generate, load_csv, save_csv
 from .fourier import row_views
 from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
-from .training import (
-    MODES,
-    TrainConfig,
-    effective_weights,
-    evaluate,
-    run_leave_one_out,
-    train_student,
-    train_teacher,
-)
+from .training import MODES, TrainConfig, evaluate, run_leave_one_out
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -280,17 +272,15 @@ def _ablate_cell(payload):
     reproduce it bit for bit three times over.
     """
     domains, target, seed, config_path, exploration = payload
-    sources, target_ds = leave_one_out(domains, target)
     teacher = None
     rows = []
     for arm in ABLATION_ARMS:
         cfg = _train_config(config_path, arm, seed, exploration)
-        if effective_weights(cfg).lambda1 > 0 and teacher is None:
-            teacher = train_teacher(sources, cfg)
-        result = train_student(sources, teacher, cfg)
+        result = run_leave_one_out(domains, target, cfg, teacher)
+        teacher = result.teacher
         rows.append({
             "target": target, "mode": arm, "seed": seed,
-            "target_acc": evaluate(result.model, [target_ds]),
+            "target_acc": result.target_accuracy,
             "val_acc": result.val_accuracy,
             "selected_epoch": result.selected_epoch,
         })
@@ -460,19 +450,12 @@ def cmd_motivate(args):
 
 
 def cmd_eval(args):
-    model, header = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     domains, _ = _load_data_dir(args.data)
     matches = [ds for ds in domains if ds.domain == args.target]
     if not matches:
         raise DataError(f"target domain {args.target} not in dataset")
-    if header["kind"] == "teacher":
-        from .training import flatten_features
-
-        X = flatten_features(matches[0].X, "phase")
-        _, logits = model.forward_np(X)
-        acc = float(np.mean(np.argmax(logits, axis=1) == matches[0].y))
-    else:
-        acc = evaluate(model, matches)
+    acc = evaluate(model, matches)
     print(f"target={args.target} accuracy={acc!r}")
     return EXIT_OK
 

@@ -91,8 +91,8 @@ def mse_distill(student_feat: Tensor, teacher_feat) -> Tensor:
     s = 1.0 / diff.size
     out = Tensor._op((diff * diff).sum() * s, (student_feat,))
 
-    def backprop():
-        gd = out.grad * s * diff
+    def backprop(g):
+        gd = g * s * diff
         student_feat.grad += gd + gd
 
     out._backprop = backprop
@@ -150,8 +150,8 @@ def coral_loss(batch: DomainBatch) -> Tensor:
     s = 1.0 / len(pairs)
     out = Tensor._op(total * s, (F,))
 
-    def backprop():
-        g = out.grad * s
+    def backprop(g):
+        g = g * s
         cov_grads = [np.zeros_like(cov) for cov in covs]
         for i, j, diff in pairs:
             gd = g * diff
@@ -185,8 +185,8 @@ def exploration_l2(z1: Tensor, z2: Tensor) -> Tensor:
     s = -1.0 / z1.data.shape[0]
     out = Tensor._op((diff * diff).sum() * s, (z1, z2))
 
-    def backprop():
-        gd = out.grad * s * diff
+    def backprop(g):
+        gd = g * s * diff
         gd = gd + gd
         z1.grad += gd
         z2.grad -= gd

@@ -151,15 +151,18 @@ class StudentModel:
         return np.concatenate([z1, z2], axis=1) @ self.wc.data + self.bc.data
 
 
-def predict(model: StudentModel, x):
+def predict(model, x):
     """Class of the largest logit; ties go to the lowest index.
 
-    Accepts one flat sample or a batch of rows; no transform or teacher
-    is involved, inference is a single student forward pass.
+    Accepts one flat sample or a batch of rows of the model's input kind;
+    no transform is involved, inference is a single forward pass of the
+    student or teacher.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     logits = model.forward_np(np.atleast_2d(arr))
+    if model.kind == "teacher":
+        logits = logits[1]  # the teacher also returns its features
     ids = np.argmax(logits, axis=1)
     return int(ids[0]) if single else ids
 
@@ -177,6 +180,8 @@ _HEADER_DIMS = {
     "teacher": ("in_dim", "hidden", "feat_dim", "classes"),
     "student": ("in_dim", "hidden", "d", "classes"),
 }
+# input views per model kind; a header without "input" means the first
+_HEADER_INPUTS = {"teacher": ("phase",), "student": ("raw", "phase")}
 
 
 def save_checkpoint(model, path, seed=None):
@@ -212,11 +217,16 @@ def load_checkpoint(path):
         raise ValueError(f"unreadable checkpoint header in {path}: {exc}") from None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header in {path} is not a JSON object")
-    if header.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format {header.get('format')!r}")
+    fmt = header.get("format")
+    if isinstance(fmt, bool) or not isinstance(fmt, int) or fmt != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {fmt!r}")
     kind = header.get("kind")
-    if kind not in _HEADER_DIMS:
+    if not isinstance(kind, str) or kind not in _HEADER_DIMS:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
+    inputs = _HEADER_INPUTS[kind]
+    input_kind = header.get("input", inputs[0])
+    if input_kind not in inputs:
+        raise ValueError(f"checkpoint input {input_kind!r} is not valid for a {kind}")
     dims = [header.get(key) for key in _HEADER_DIMS[kind]]
     for key, v in zip(_HEADER_DIMS[kind], dims):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
@@ -229,7 +239,7 @@ def load_checkpoint(path):
     if kind == "teacher":
         model = TeacherModel(*dims, rng=None)
     else:
-        model = StudentModel(*dims, rng=None, input_kind=header.get("input", "raw"))
+        model = StudentModel(*dims, rng=None, input_kind=input_kind)
     params = model.params()
     shapes = [tuple(s) for s in table]
     if shapes != [p.data.shape for p in params]:

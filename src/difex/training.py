@@ -70,6 +70,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.mode not in MODES:
@@ -114,7 +122,8 @@ def flatten_features(X: np.ndarray, input_kind: str) -> np.ndarray:
 
 
 def evaluate(model, ds_list) -> float:
-    """Pooled accuracy of a student over datasets, using its input kind."""
+    """Pooled accuracy of a student or teacher over datasets, fed the
+    input kind it was trained on."""
     X = np.concatenate([flatten_features(ds.X, model.input_kind) for ds in ds_list])
     y = np.concatenate([ds.y for ds in ds_list])
     return float(np.mean(predict(model, X) == y))
@@ -325,12 +334,16 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     )
 
 
-def run_leave_one_out(domains, target, cfg: TrainConfig) -> RunResult:
+def run_leave_one_out(domains, target, cfg: TrainConfig, teacher=None) -> RunResult:
     """Hold out one domain, train both stages on the rest, score the model
-    on the held-out domain."""
+    on the held-out domain.
+
+    A ready ``teacher`` (trained on the same sources and config, the mode
+    aside) is used as given; otherwise one is trained if distillation is
+    active.
+    """
     sources, target_ds = leave_one_out(domains, target)
-    teacher = None
-    if effective_weights(cfg).lambda1 > 0:
+    if teacher is None and effective_weights(cfg).lambda1 > 0:
         teacher = train_teacher(sources, cfg)
     result = train_student(sources, teacher, cfg)
     result.teacher = teacher

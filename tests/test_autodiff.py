@@ -1,5 +1,7 @@
 """Reverse-mode gradients checked against central finite differences,
-optimizer behavior, and the non-finite guard."""
+optimizer behavior, the non-finite guard, and how step graphs are freed."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from difex.autodiff import (
     sum_rows,
     take_rows,
 )
+from difex.losses import DomainBatch, LossWeights, total_objective
+from difex.model import StudentModel, TeacherModel
+from test_bench_contract import load_tracer
 
 
 def rel_err(got, want):
@@ -484,3 +489,82 @@ def test_training_loop_is_bit_deterministic():
     w1, b1 = run()
     w2, b2 = run()
     assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
+# -- freeing step graphs ----------------------------------------------------
+
+STEP_WEIGHTS = {
+    "full": LossWeights(),
+    "norm_l1": LossWeights(variant="norm_l1"),
+    "erm": LossWeights(0.0, 0.0, 0.0),
+}
+
+
+def make_step(kind, seed=0):
+    """A model, its optimizer, and a builder of one training step's graph.
+
+    ``kind`` is "teacher" or a key of STEP_WEIGHTS; the batch has three
+    domains of four rows, as the trainer's domain-balanced batches do.
+    ``build()`` returns (loss, tensors of the graph other than the params).
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(12, 10))
+    y = np.arange(12) % 3
+    domain_ids = np.repeat([0, 1, 2], 4)
+    teacher_feat = np.tanh(rng.normal(size=(12, 4)))
+    if kind == "teacher":
+        model = TeacherModel(10, 16, 4, 3, rng)
+    else:
+        model = StudentModel(10, 16, 8, 3, rng)
+
+    def build():
+        xb = Tensor(x)
+        if kind == "teacher":
+            feat, logits = model.forward(xb)
+            return softmax_cross_entropy(logits, y), [xb, feat, logits]
+        out = model.forward(xb)
+        loss, _ = total_objective(DomainBatch(xb, y, domain_ids), teacher_feat,
+                                  out, STEP_WEIGHTS[kind])
+        return loss, [xb, out.z1, out.z2, out.logits]
+
+    return model, AdamW(model.params()), build
+
+
+@pytest.mark.parametrize("kind", ["full", "norm_l1", "erm", "teacher"])
+def test_step_graphs_are_freed_without_the_cyclic_gc(kind):
+    _, opt, build = make_step(kind)
+    build()  # numpy's first np.unique call leaves one-time cyclic garbage
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            loss, _ = build()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_backward_twice_gives_identical_grads():
+    model, _, build = make_step("full")
+    loss, inner = build()
+    loss.backward()
+    first = [t.grad.copy() for t in model.params() + inner]
+    loss.backward()
+    # intermediate nodes keep their grads, and a second pass re-zeroes them
+    second = [t.grad for t in model.params() + inner]
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+def test_traced_graph_node_counts():
+    # bench/tracer.py counts nodes per step by walking ``_parents``; the
+    # benchmark's ``step.*.graph_nodes`` rows read these numbers
+    tracer = load_tracer()
+    for kind, nodes in (("full", 27), ("erm", 18), ("teacher", 13)):
+        loss, _ = make_step(kind)[2]()
+        assert tracer.count_graph_nodes(loss) == nodes, kind

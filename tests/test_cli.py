@@ -9,7 +9,7 @@ import pytest
 from difex.cli import main
 from difex.data import BenchConfig, DomainDataset, generate, save_csv
 from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
-from difex.model import load_checkpoint
+from difex.model import StudentModel, TeacherModel, load_checkpoint, save_checkpoint
 
 GEN_CFG = """\
 domains = 3
@@ -161,6 +161,16 @@ def test_numerical_blowup_exits_three(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("line", [
+    "hidden = 0", "lr = nan", "lr = inf", "lr = -0.001", "weight_decay = -1",
+])
+def test_out_of_range_train_config_exits_two(workspace, tmp_path, capsys, line):
+    cfg = write(tmp_path / "t.cfg", TRAIN_CFG + line + "\n")
+    assert main(["train", workspace["data"], "--config", cfg,
+                 "--target", "0", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("difex: error: ")
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -228,6 +238,26 @@ def test_malformed_checkpoint_header_exits_two(workspace, tmp_path, capsys, edit
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(json.dumps(edit(header)).encode("utf-8") + b"\n" + blob)
     assert main(["eval", workspace["data"], "--checkpoint", str(bad),
+                 "--target", "0"]) == 2
+    assert capsys.readouterr().err.startswith("difex: error: ")
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("student", "banana"), ("student", None), ("teacher", "raw"),
+])
+def test_checkpoint_input_kind_is_checked(workspace, tmp_path, capsys, kind, value):
+    # 2 channels x length 16 = 32 inputs, as in the workspace dataset
+    rng = np.random.default_rng(0)
+    model = (StudentModel(32, 8, 4, 3, rng) if kind == "student"
+             else TeacherModel(32, 8, 2, 3, rng))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, str(path))
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    header["input"] = value
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    assert main(["eval", workspace["data"], "--checkpoint", str(path),
                  "--target", "0"]) == 2
     assert capsys.readouterr().err.startswith("difex: error: ")
 

@@ -1,0 +1,198 @@
+"""Property tests at two input boundaries, the training config file and
+the checkpoint header: bad input exits 2 with a one-line error, never a
+traceback."""
+
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from difex.cli import main
+from difex.model import StudentModel, TeacherModel, save_checkpoint
+from difex.training import MODES
+
+# deterministic examples and no example database, so a run is repeatable
+# and leaves no files behind
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+BASE_CFG = {"epochs": "1", "batch_size": "12", "hidden": "8", "feature_dim": "4"}
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """Three domains of 18 rows, 2 channels of length 16: 32 features."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "bench.cfg"
+    cfg.write_text("domains = 3\nclasses = 3\nper_class = 6\nlength = 16\n"
+                   "channels = 2\nnoise = 0.05\nseed = 3\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return str(root / "data")
+
+
+def _train(data_dir, values, mode, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "train.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            for key, val in {**BASE_CFG, **values}.items():
+                fh.write(f"{key} = {val}\n")
+        with np.errstate(all="ignore"):
+            code = main(["train", data_dir, "--config", cfg, "--mode", mode,
+                         "--target", "0", "--out", os.path.join(tmp, "run")])
+    return code, capsys.readouterr().err
+
+
+# -- training config ------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+
+
+def _floats_outside(lo, hi):
+    """Floats not in the open interval (lo, hi), NaN and the infinities too."""
+    return st.one_of(st.sampled_from([NAN, INF, -INF, lo, hi]),
+                     st.floats(max_value=lo), st.floats(min_value=hi))
+
+
+# for every key, values the documented rules reject; a word fails the cast
+# of a numeric key, or is one of "nan" / "inf" that the rules reject anyway
+BAD_VALUES = {
+    "epochs": st.one_of(st.integers(-3, 0), WORDS),
+    "batch_size": st.one_of(st.integers(-3, 1), WORDS),
+    "hidden": st.one_of(st.integers(-3, 0), WORDS),
+    "feature_dim": st.one_of(st.integers(-3, 1), st.sampled_from([3, 5, 7]), WORDS),
+    "lr": st.one_of(_floats_outside(0.0, INF), WORDS),
+    "weight_decay": st.one_of(
+        st.sampled_from([NAN, INF, -INF]), st.floats(max_value=-1e-300), WORDS),
+    "val_fraction": st.one_of(_floats_outside(0.0, 1.0), WORDS),
+    "lambda1": st.one_of(st.sampled_from([NAN, INF, -INF]),
+                         st.floats(max_value=-1e-300), WORDS),
+    "lambda2": st.one_of(st.sampled_from([NAN, -1.0]), WORDS),
+    "lambda3": st.one_of(st.sampled_from([NAN, -INF]), WORDS),
+    "exploration": WORDS,  # no digits, so never "l2" or "norm_l1"
+    "virtual_domains": WORDS,
+}
+
+
+@FUZZ
+@given(bad=st.sampled_from(sorted(BAD_VALUES)).flatmap(
+           lambda key: st.tuples(st.just(key), BAD_VALUES[key])),
+       mode=st.sampled_from(MODES))
+def test_a_bad_train_config_value_exits_two(data_dir, capsys, bad, mode):
+    key, value = bad
+    code, err = _train(data_dir, {key: value}, mode, capsys)
+    assert code == 2, (key, value)
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+
+
+# values inside the documented ranges; a run may still not fit the data (2)
+# or overflow (3), but never escape as a traceback
+GOOD_VALUES = {
+    "epochs": st.integers(1, 2), "batch_size": st.integers(2, 24),
+    "hidden": st.integers(1, 8), "feature_dim": st.sampled_from([2, 4, 6]),
+    "lr": st.floats(1e-6, 1e3), "weight_decay": st.floats(0.0, 10.0),
+    "val_fraction": st.floats(0.01, 0.99),
+    "lambda1": st.floats(0.0, 100.0), "lambda2": st.floats(0.0, 100.0),
+    "lambda3": st.floats(0.0, 100.0),
+    "exploration": st.sampled_from(["l2", "norm_l1", "norm-l1"]),
+    "virtual_domains": st.integers(-1, 3),
+}
+
+
+@settings(FUZZ, max_examples=80)
+@given(values=st.fixed_dictionaries(GOOD_VALUES), mode=st.sampled_from(MODES),
+       data=st.data())
+def test_any_train_config_exits_cleanly(data_dir, capsys, values, mode, data):
+    bad = data.draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), max_size=2,
+                             unique=True))
+    for key in bad:
+        values[key] = data.draw(BAD_VALUES[key])
+    code, err = _train(data_dir, values, mode, capsys)
+    assert code == 2 if bad else code in (0, 2, 3)
+    if code:
+        assert err.startswith("difex: ") and err.count("\n") == 1
+
+
+# -- checkpoint header ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Paths of a student and a teacher checkpoint that fit ``data_dir``."""
+    root = tmp_path_factory.mktemp("ckpt")
+    rng = np.random.default_rng(0)
+    out = {}
+    for model in (StudentModel(32, 8, 4, 3, rng), TeacherModel(32, 8, 2, 3, rng)):
+        out[model.kind] = str(root / f"{model.kind}.ckpt")
+        save_checkpoint(model, out[model.kind], seed=0)
+    return out
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline()), fh.read()
+
+
+def _eval(data_dir, header_line, blob, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(header_line + b"\n" + blob)
+        code = main(["eval", data_dir, "--checkpoint", path, "--target", "0"])
+    return code, capsys.readouterr().err
+
+
+DELETE = object()
+# header fields the loader reads, per kind; it ignores any other
+READ = {
+    "student": {"format", "kind", "input", "in_dim", "hidden", "d", "classes",
+                "shapes"},
+    "teacher": {"format", "kind", "input", "in_dim", "hidden", "feat_dim",
+                "classes", "shapes"},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8,
+)
+
+
+@settings(FUZZ, max_examples=150)
+@given(kind=st.sampled_from(["student", "teacher"]),
+       key=st.sampled_from(["format", "kind", "input", "in_dim", "hidden", "d",
+                            "feat_dim", "classes", "shapes", "seed", "extra"]),
+       value=st.one_of(st.just(DELETE), st.sampled_from(["raw", "phase"]),
+                       JSON_VALUES))
+def test_an_edited_checkpoint_header_exits_zero_or_two(
+        data_dir, checkpoints, capsys, kind, key, value):
+    header, blob = _read(checkpoints[kind])
+    original = header.get(key, DELETE)
+    if value is DELETE:
+        header.pop(key, None)
+    else:
+        header[key] = value
+    code, err = _eval(data_dir, json.dumps(header).encode("utf-8"), blob, capsys)
+    if key not in READ[kind]:
+        ok = True
+    elif key == "input":
+        # a missing field means the kind's own input
+        ok = value in (DELETE, "phase") or (kind, value) == ("student", "raw")
+    else:
+        # same JSON, same type: 1.0 or true is no stand-in for 1
+        ok = value is not DELETE and json.dumps(value) == json.dumps(original)
+    assert code == (0 if ok else 2), (kind, key, value)
+    if code:
+        assert err.startswith("difex: error: ") and err.count("\n") == 1
+
+
+@FUZZ
+@given(line=st.binary(max_size=64).filter(lambda b: b"\n" not in b))
+def test_a_garbled_checkpoint_header_exits_two(data_dir, checkpoints, capsys, line):
+    code, err = _eval(data_dir, line, _read(checkpoints["student"])[1], capsys)
+    assert code == 2
+    assert err.startswith("difex: error: ")
