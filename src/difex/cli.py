@@ -333,39 +333,25 @@ def cmd_ablate(args):
                               ("target", "mode", "seed", "target_acc",
                                "val_acc", "selected_epoch")) + "\n")
 
-    def cell(arm, t):
-        accs = [r["target_acc"] for r in rows
-                if r["mode"] == arm and r["target"] == t]
-        return float(np.mean(accs)), float(np.std(accs))
-
-    def overall(arm):
-        accs = [r["target_acc"] for r in rows if r["mode"] == arm]
-        return float(np.mean(accs)), float(np.std(accs))
-
+    # per arm, (mean, std) of target_acc on each target, then over all of them
+    summary = {}
+    for arm in ABLATION_ARMS:
+        groups = [[r["target_acc"] for r in rows
+                   if r["mode"] == arm and r["target"] == t] for t in targets]
+        groups.append([acc for g in groups for acc in g])
+        summary[arm] = [(float(np.mean(g)), float(np.std(g))) for g in groups]
+    names = [f"target_{t}" for t in targets] + ["overall"]
+    heads = ["mode"] + [f"{n}_{stat}" for n in names for stat in ("mean", "std")]
     with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8",
               newline="") as fh:
-        heads = ["mode"]
-        for t in targets:
-            heads += [f"target_{t}_mean", f"target_{t}_std"]
-        heads += ["overall_mean", "overall_std"]
         fh.write(",".join(heads) + "\n")
-        for arm in ABLATION_ARMS:
-            vals = []
-            for t in targets:
-                vals += list(cell(arm, t))
-            vals += list(overall(arm))
-            fh.write(arm + "," + ",".join(repr(v) for v in vals) + "\n")
-
+        for arm, stats in summary.items():
+            fh.write(arm + "," + ",".join(repr(v) for ms in stats for v in ms)
+                     + "\n")
     lines = [f"{'mode':<10}" + "".join(f"target {t:<12}" for t in targets)
              + "overall"]
-    for arm in ABLATION_ARMS:
-        parts = [f"{arm:<10}"]
-        for t in targets:
-            m, s = cell(arm, t)
-            parts.append(f"{m:.4f}±{s:.4f}  ")
-        m, s = overall(arm)
-        parts.append(f"{m:.4f}±{s:.4f}")
-        lines.append("".join(parts))
+    for arm, stats in summary.items():
+        lines.append(f"{arm:<10}" + "  ".join(f"{m:.4f}±{s:.4f}" for m, s in stats))
     table = "\n".join(lines) + "\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .autodiff import AdamW, Tensor, softmax_cross_entropy
 from .fourier import row_views
-from .model import TeacherModel
+from .model import TeacherModel, predict
 
 __all__ = [
     "DataError",
@@ -502,6 +502,10 @@ def _manifest_channels(path):
     return channels
 
 
+# integer ids of magnitude below 2**_ID_BITS convert to intp exactly
+_ID_BITS = np.iinfo(np.intp).bits - 1
+
+
 def load_csv(path, channels=None) -> DomainDataset:
     """Parse a dataset file back; errors name the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -541,12 +545,17 @@ def load_csv(path, channels=None) -> DomainDataset:
                 except ValueError:
                     raise DataError(f"{path}:{ln}: bad number {cell!r}") from None
         raise
-    domains = table[:, 0]
-    labels = table[:, 1]
+    domains, labels = table[:, 0], table[:, 1]
+    # ids arrive as float64; NaN, inf, fractions and values beyond intp
+    # are not whole
+    ids = table[:, :2]
+    whole = (ids == np.floor(ids)) & (np.abs(ids) < 2.0**_ID_BITS)
+    if not whole[:, 0].all():
+        raise DataError(f"{path}: domain ids must be integers with |id| < 2**{_ID_BITS}")
     if np.any(domains != domains[0]):
         raise DataError(f"{path}: mixed domain ids in one file")
-    if np.any(labels != np.round(labels)) or np.any(labels < 0):
-        raise DataError(f"{path}: labels must be non-negative integers")
+    if not whole[:, 1].all() or np.any(labels < 0):
+        raise DataError(f"{path}: labels must be non-negative integers < 2**{_ID_BITS}")
     X = table[:, 2:].reshape(len(rows), channels, width // channels)
     return DomainDataset(domain=int(domains[0]), X=X, y=labels.astype(np.intp))
 
@@ -591,6 +600,5 @@ def domain_shift_report(domains, seed=0, steps=150):
             opt.zero_grad()
             loss.backward()
             opt.step()
-        _, logits = probe.forward_np(Z[te])
-        report[kind] = float(np.mean(np.argmax(logits, axis=1) == dom[te]))
+        report[kind] = float(np.mean(predict(probe, Z[te]) == dom[te]))
     return report

@@ -124,8 +124,7 @@ def flatten_features(X: np.ndarray, input_kind: str) -> np.ndarray:
 def evaluate(model, ds_list) -> float:
     """Pooled accuracy of a student or teacher over datasets, fed the
     input kind it was trained on."""
-    X = np.concatenate([flatten_features(ds.X, model.input_kind) for ds in ds_list])
-    y = np.concatenate([ds.y for ds in ds_list])
+    X, y, _ = _pool(ds_list, model.input_kind)
     return float(np.mean(predict(model, X) == y))
 
 
@@ -246,8 +245,7 @@ def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
             opt.zero_grad()
             loss.backward()
             opt.step()
-        _, logits = teacher.forward_np(Xva)
-        acc = float(np.mean(np.argmax(logits, axis=1) == yva))
+        acc = float(np.mean(predict(teacher, Xva) == yva))
         if acc > best_acc:
             best_acc, best_snap = acc, _snapshot(teacher.params())
     _restore(teacher.params(), best_snap)
@@ -317,8 +315,7 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
             for key, val in parts.items():
                 sums[key] = sums.get(key, 0.0) + val
             steps += 1
-        logits = student.forward_np(Xva)
-        acc = float(np.mean(np.argmax(logits, axis=1) == yva))
+        acc = float(np.mean(predict(student, Xva) == yva))
         row = {"epoch": epoch}
         row.update({col[k]: v / steps for k, v in sums.items()})
         row["val_acc"] = acc

@@ -36,14 +36,20 @@ def write(path, text):
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """One generated dataset plus config files, shared by the module."""
+    """One generated dataset, config files and a full-mode run (target 0,
+    seed 1), shared by the module."""
     root = tmp_path_factory.mktemp("cli")
     gen_cfg = write(root / "bench.cfg", GEN_CFG)
     train_cfg = write(root / "train.cfg", TRAIN_CFG)
     data = str(root / "data")
     assert main(["generate", "--config", gen_cfg, "--out", data]) == 0
+    run = str(root / "run")
+    assert main(["train", data, "--config", train_cfg, "--target", "0",
+                 "--seed", "1", "--out", run]) == 0
+    with open(os.path.join(run, "manifest.json")) as fh:
+        manifest = json.load(fh)
     return {"root": root, "gen_cfg": gen_cfg, "train_cfg": train_cfg,
-            "data": data}
+            "data": data, "run": run, "manifest": manifest}
 
 
 # -- generate -------------------------------------------------------------
@@ -102,8 +108,6 @@ def test_train_writes_checkpoints_metrics_manifest(workspace, tmp_path, capsys):
     assert manifest["config"]["feature_dim"] == 8
     assert 0.0 <= manifest["val_accuracy"] <= 1.0
     assert manifest["selected_epoch"] in (0, 1)
-    workspace["run"] = out
-    workspace["manifest"] = manifest
 
 
 def test_train_erm_skips_teacher_and_trims_metrics(workspace, tmp_path):

@@ -307,6 +307,32 @@ def test_csv_channel_count_from_manifest(tmp_path):
     assert back.X.shape == ds.X.shape
 
 
+@pytest.mark.parametrize("domain, label, match", [
+    ("inf", "0", "domain"),  # once an OverflowError traceback
+    ("-inf", "0", "domain"),
+    ("nan", "0", "domain"),
+    ("0.5", "0", "domain"),  # once loaded as domain 0
+    ("1e30", "0", "domain"),
+    ("0", "inf", "labels"),  # once loaded as class -2**63
+    ("0", "1e30", "labels"),
+    ("0", "nan", "labels"),
+    ("0", "-1", "labels"),
+])
+def test_csv_ids_must_be_integers_that_fit(tmp_path, domain, label, match):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"domain,label,f_0,f_1\n{domain},{label},1.0,2.0\n")
+    with pytest.raises(DataError, match=match):
+        load_csv(path, channels=1)
+
+
+def test_csv_ids_accept_large_and_negative_integers(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text("domain,label,f_0\n-3,1e18,1.0\n-3.0,2,2.0\n")
+    back = load_csv(path, channels=1)
+    assert back.domain == -3
+    assert back.y.tolist() == [10**18, 2]
+
+
 @pytest.mark.parametrize("value", ["2.9", "true", '"2"'])
 def test_csv_manifest_channel_count_must_be_an_integer(tmp_path, value):
     # int() once accepted each of these: 2.9 loaded as 2 channels, true as 1

@@ -1,5 +1,6 @@
-"""Property tests at two input boundaries, the training config file and
-the checkpoint header: bad input exits 2 with a one-line error, never a
+"""Property tests at three input boundaries, the training config file,
+the checkpoint header and the id columns of a dataset CSV: bad input
+exits 2 with a one-line error (or raises ``DataError``), never a
 traceback."""
 
 import json
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from difex.cli import main
+from difex.data import DataError, load_csv
 from difex.model import StudentModel, TeacherModel, save_checkpoint
 from difex.training import MODES
 
@@ -196,3 +198,30 @@ def test_a_garbled_checkpoint_header_exits_two(data_dir, checkpoints, capsys, li
     code, err = _eval(data_dir, line, _read(checkpoints["student"])[1], capsys)
     assert code == 2
     assert err.startswith("difex: error: ")
+
+
+# -- CSV id columns -------------------------------------------------------
+
+ID_CELLS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),  # nan, inf, fractions, 1e+30, -0.0
+    st.text("0123456789.-+eEinfa_ ", max_size=8),
+)
+
+
+@FUZZ
+@given(cells=st.lists(ID_CELLS, min_size=4, max_size=4))
+def test_csv_id_cells_load_or_raise_data_error(cells):
+    (d0, l0), (d1, l1) = cells[:2], cells[2:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "domain.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"domain,label,f_0\n{d0},{l0},1.0\n{d1},{l1},2.0\n")
+        try:
+            ds = load_csv(path, channels=1)
+        except DataError:
+            return
+    # what loads is exactly the numbers written, as non-negative classes
+    assert ds.domain == float(d0) == float(d1)
+    assert ds.y.tolist() == [float(l0), float(l1)]
+    assert ds.y.min() >= 0

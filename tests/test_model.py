@@ -1,5 +1,6 @@
 """Network wiring, inference conventions, and checkpoint round trips."""
 
+import gc
 import json
 
 import numpy as np
@@ -66,8 +67,7 @@ def test_student_graph_and_plain_forward_agree():
     m = StudentModel(10, 16, 8, 4, rng_for(2))
     x = np.random.default_rng(3).normal(size=(6, 10))
     out = m.forward(Tensor(x))
-    graph_logits = out.logits.data
-    assert np.abs(graph_logits - m.forward_np(x)).max() < 1e-12
+    assert np.array_equal(out.logits.data, m.forward_np(x))
 
 
 def test_teacher_graph_and_plain_forward_agree():
@@ -75,8 +75,41 @@ def test_teacher_graph_and_plain_forward_agree():
     x = np.random.default_rng(5).normal(size=(6, 10))
     feat_g, logits_g = t.forward(Tensor(x))
     feat_n, logits_n = t.forward_np(x)
-    assert np.abs(feat_g.data - feat_n).max() < 1e-12
-    assert np.abs(logits_g.data - logits_n).max() < 1e-12
+    assert np.array_equal(feat_g.data, feat_n)
+    assert np.array_equal(logits_g.data, logits_n)
+
+
+def both_models():
+    return [StudentModel(10, 16, 8, 4, rng_for(21)),
+            TeacherModel(10, 16, 4, 3, rng_for(22))]
+
+
+@pytest.mark.parametrize("model", both_models(), ids=["student", "teacher"])
+def test_inference_graphs_are_freed_without_the_cyclic_gc(model):
+    x = np.random.default_rng(23).normal(size=(30, 10))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(20):
+            model.forward_np(x)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("model", both_models(), ids=["student", "teacher"])
+def test_inference_never_calls_forward(model, monkeypatch):
+    # the benchmark's tracer counts training rows on forward
+    x = np.random.default_rng(24).normal(size=(5, 10))
+    before = predict(model, x)
+
+    def forward(self, x):
+        raise AssertionError("inference went through forward")
+
+    monkeypatch.setattr(type(model), "forward", forward)
+    assert np.array_equal(predict(model, x), before)  # runs forward_np
 
 
 def test_student_features_stay_inside_unit_ball():
