@@ -10,6 +10,7 @@ appear only inside manifest files, never in data outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NonFiniteError
-from .data import BenchConfig, DataError, generate, load_csv, save_csv
+from .data import BenchConfig, DataError, generate, load_dir, save_csv
 from .fourier import row_views
 from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
-from .training import MODES, TrainConfig, evaluate, run_leave_one_out
+from .training import MODES, TrainConfig, evaluate, run_arms, run_leave_one_out
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,9 +34,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 ABLATION_ARMS = ("erm", "no-intern", "no-mutual", "no-exp", "full")
-
-METRIC_ORDER = ("epoch", "cls_loss", "mse_loss", "align_loss", "exp_loss",
-                "total", "val_acc")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(path):
-    """Flat `key = value` lines; blank lines and # comments ignored."""
+    """Flat `key = value` lines; blank lines and # comments ignored; a
+    key may appear once."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -62,38 +61,45 @@ def parse_config(path):
             continue
         if "=" not in line:
             raise DataError(f"{path}:{ln}: expected `key = value`")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise DataError(f"{path}:{ln}: repeated key {key!r}")
+        out[key] = val
     return out
 
 
-GENERATE_KEYS = ("domains", "classes", "per_class", "length", "channels",
-                 "noise", "seed")
+def _read_config(path, casts, required):
+    """The keys of a config file, each cast by its entry in ``casts``.
+    Unknown keys are errors, and so are missing ones when ``required``."""
+    raw = parse_config(path)
+    unknown = set(raw) - set(casts)
+    if unknown:
+        raise DataError(f"unknown config key {sorted(unknown)[0]!r}")
+    vals = {}
+    for key, cast in casts.items():
+        if key not in raw:
+            if required:
+                raise DataError(f"missing config key {key!r}")
+            continue
+        try:
+            vals[key] = cast(raw[key])
+        except ValueError:
+            raise DataError(f"bad config value for {key!r}: {raw[key]!r}") from None
+    return vals
+
+
+GENERATE_KEYS = {
+    "domains": int, "classes": int, "per_class": int, "length": int,
+    "channels": int, "noise": float, "seed": int,
+}
 
 
 def _bench_config(config_path):
     if config_path is None:
         return BenchConfig()
-    raw = parse_config(config_path)
-    unknown = set(raw) - set(GENERATE_KEYS)
-    if unknown:
-        raise DataError(f"unknown config key {sorted(unknown)[0]!r}")
-    for key in GENERATE_KEYS:
-        if key not in raw:
-            raise DataError(f"missing config key {key!r}")
-    try:
-        domains = int(raw["domains"])
-        return BenchConfig(
-            domains=domains,
-            classes=int(raw["classes"]),
-            per_class=int(raw["per_class"]),
-            length=int(raw["length"]),
-            channels=int(raw["channels"]),
-            noise_sigma=np.full(domains, float(raw["noise"])),
-            seed=int(raw["seed"]),
-        )
-    except ValueError as exc:
-        raise DataError(f"bad config value: {exc}") from None
+    vals = _read_config(config_path, GENERATE_KEYS, required=True)
+    noise = vals.pop("noise")
+    return BenchConfig(noise_sigma=np.full(vals["domains"], noise), **vals)
 
 
 TRAIN_KEYS = {
@@ -104,23 +110,11 @@ TRAIN_KEYS = {
 }
 
 
-def _train_config(config_path, mode, seed, exploration=None):
-    raw = parse_config(config_path) if config_path else {}
-    unknown = set(raw) - set(TRAIN_KEYS)
-    if unknown:
-        raise DataError(f"unknown config key {sorted(unknown)[0]!r}")
-    vals = {}
-    for key, cast in TRAIN_KEYS.items():
-        if key in raw:
-            try:
-                vals[key] = cast(raw[key])
-            except ValueError:
-                raise DataError(f"bad config value for {key!r}: {raw[key]!r}") from None
-    variant = exploration or vals.pop("exploration", "l2")
-    variant = variant.replace("-", "_")
+def _train_config(config_path, mode, seed):
+    vals = _read_config(config_path, TRAIN_KEYS, required=False) if config_path else {}
     weights = LossWeights(
         vals.pop("lambda1", 1.0), vals.pop("lambda2", 1.0),
-        vals.pop("lambda3", 0.1), variant,
+        vals.pop("lambda3", 0.1), vals.pop("exploration", "l2").replace("-", "_"),
     )
     return TrainConfig(weights=weights, seed=seed, mode=mode, **vals)
 
@@ -159,35 +153,6 @@ def _write_manifest(path, payload):
         fh.write("\n")
 
 
-def _load_data_dir(path):
-    manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.isdir(path):
-        raise DataError(f"not a dataset directory: {path}")
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict):
-            raise DataError(f"{manifest_path}: expected a JSON object")
-        names = manifest.get("files", [])
-        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
-            raise DataError(f'{manifest_path}: "files" must be a list of file names')
-        channels = manifest.get("channels")
-        if channels is not None and (isinstance(channels, bool)
-                                     or not isinstance(channels, int)):
-            raise DataError(f'{manifest_path}: "channels" must be an integer')
-        files = [os.path.join(path, f) for f in names]
-    else:
-        manifest = {}
-        files = sorted(
-            os.path.join(path, f) for f in os.listdir(path)
-            if f.startswith("domain_") and f.endswith(".csv")
-        )
-        channels = None
-    if not files:
-        raise DataError(f"no dataset files found in {path}")
-    return [load_csv(f, channels=channels) for f in files], manifest
-
-
 def _fmt(v):
     if isinstance(v, float):
         return repr(v)
@@ -221,15 +186,10 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _metric_columns(rows):
-    present = set()
-    for row in rows:
-        present.update(row)
-    return [c for c in METRIC_ORDER if c in present]
-
-
 def write_metrics(rows, path):
-    cols = _metric_columns(rows)
+    """One line per epoch row; the columns are the keys of the first row,
+    in its order."""
+    cols = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
@@ -237,10 +197,8 @@ def write_metrics(rows, path):
 
 
 def cmd_train(args):
-    domains, _ = _load_data_dir(args.data)
-    if not any(ds.domain == args.target for ds in domains):
-        raise DataError(f"target domain {args.target} not in dataset")
-    cfg = _train_config(args.config, args.mode, args.seed, args.exploration)
+    domains = load_dir(args.data)
+    cfg = _train_config(args.config, args.mode, args.seed)
     result = run_leave_one_out(domains, args.target, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(result.model, os.path.join(args.out, "student.ckpt"),
@@ -265,26 +223,15 @@ def cmd_train(args):
 
 
 def _ablate_cell(payload):
-    """All arms for one (target, seed) pair.
-
-    The teacher depends on everything in the config except the mode, so
-    the arms that distill share one teacher; training it per arm would
-    reproduce it bit for bit three times over.
-    """
-    domains, target, seed, config_path, exploration = payload
-    teacher = None
-    rows = []
-    for arm in ABLATION_ARMS:
-        cfg = _train_config(config_path, arm, seed, exploration)
-        result = run_leave_one_out(domains, target, cfg, teacher)
-        teacher = result.teacher
-        rows.append({
-            "target": target, "mode": arm, "seed": seed,
-            "target_acc": result.target_accuracy,
-            "val_acc": result.val_accuracy,
-            "selected_epoch": result.selected_epoch,
-        })
-    return rows
+    """The rows of every arm for one (target, seed) pair."""
+    domains, target, cfg = payload
+    results = run_arms(domains, target, cfg, ABLATION_ARMS)
+    return [{
+        "target": target, "mode": arm, "seed": cfg.seed,
+        "target_acc": result.target_accuracy,
+        "val_acc": result.val_accuracy,
+        "selected_epoch": result.selected_epoch,
+    } for arm, result in zip(ABLATION_ARMS, results)]
 
 
 def _worker_count(n_cells):
@@ -302,17 +249,17 @@ def _worker_count(n_cells):
 
 
 def cmd_ablate(args):
-    domains, _ = _load_data_dir(args.data)
+    domains = load_dir(args.data)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         raise DataError(f"bad --seeds list {args.seeds!r}") from None
     if not seeds:
         raise DataError("no seeds given")
-    _train_config(args.config, "full", 0, args.exploration)  # validate early
+    cfg = _train_config(args.config, "full", seeds[0])
     targets = sorted(ds.domain for ds in domains)
     grid = [
-        (domains, t, s, args.config, args.exploration)
+        (domains, t, dataclasses.replace(cfg, seed=s))
         for t in targets for s in seeds
     ]
     workers = _worker_count(len(grid))
@@ -361,8 +308,7 @@ def cmd_ablate(args):
         "seeds": seeds,
         "arms": list(ABLATION_ARMS),
         "targets": targets,
-        "config": _config_snapshot(_train_config(args.config, "full", seeds[0],
-                                                 args.exploration)),
+        "config": _config_snapshot(cfg),
         "runs": rows,
     })
     print(table, end="")
@@ -395,7 +341,7 @@ def _parse_ids(spec_str, domains):
 
 
 def cmd_motivate(args):
-    domains, _ = _load_data_dir(args.data)
+    domains = load_dir(args.data)
     by_domain = {ds.domain: ds for ds in domains}
     if args.ids:
         picks = _parse_ids(args.ids, domains)
@@ -437,7 +383,7 @@ def cmd_motivate(args):
 
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
-    domains, _ = _load_data_dir(args.data)
+    domains = load_dir(args.data)
     matches = [ds for ds in domains if ds.domain == args.target]
     if not matches:
         raise DataError(f"target domain {args.target} not in dataset")
@@ -466,7 +412,6 @@ def build_parser():
         p.add_argument("data", help="dataset directory (from `generate`)")
         p.add_argument("--config", help="flat key=value training config")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--exploration", choices=("l2", "norm-l1"))
 
     p = sub.add_parser("train", help="one leave-one-domain-out training run")
     common(p)

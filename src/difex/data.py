@@ -46,6 +46,7 @@ __all__ = [
     "leave_one_out",
     "save_csv",
     "load_csv",
+    "load_dir",
     "domain_shift_report",
 ]
 
@@ -483,23 +484,45 @@ def save_csv(ds: DomainDataset, path):
             fh.write(f"{ds.domain},{int(ds.y[i])},{values}\n")
 
 
+def _read_manifest(path):
+    """A dataset manifest: a JSON object with a positive integer
+    "channels" and a list of file names in "files" (empty if absent)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    files = manifest.setdefault("files", [])
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise DataError(f'{path}: "files" must be a list of file names')
+    channels = manifest.get("channels")
+    # no int() coercion: it would read 2.9 as 2 channels and true as 1
+    if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
+        raise DataError(
+            f'{path}: "channels" must be a positive integer, got {channels!r}'
+        )
+    return manifest
+
+
 def _manifest_channels(path):
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
     if not os.path.exists(manifest):
         raise DataError(
             f"{path}: channel count unknown; pass channels= or provide manifest.json"
         )
-    with open(manifest, "r", encoding="utf-8") as fh:
-        try:
-            channels = json.load(fh)["channels"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{manifest}: cannot read channel count: {exc}") from None
-    # no int() coercion: it would read 2.9 as 2 channels and true as 1
-    if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
-        raise DataError(
-            f'{manifest}: "channels" must be a positive integer, got {channels!r}'
-        )
-    return channels
+    return _read_manifest(manifest)["channels"]
+
+
+def load_dir(path):
+    """The datasets of a directory written by `generate`: the CSV files
+    its manifest.json lists, in that order."""
+    manifest = _read_manifest(os.path.join(path, "manifest.json"))
+    if not manifest["files"]:
+        raise DataError(f"{path}: manifest.json lists no dataset files")
+    return [load_csv(os.path.join(path, name), channels=manifest["channels"])
+            for name in manifest["files"]]
 
 
 # integer ids of magnitude below 2**_ID_BITS convert to intp exactly
@@ -508,8 +531,11 @@ _ID_BITS = np.iinfo(np.intp).bits - 1
 
 def load_csv(path, channels=None) -> DomainDataset:
     """Parse a dataset file back; errors name the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     cols = lines[0].split(",")

@@ -10,7 +10,7 @@ randomness as a bare classifier loop and reproduces it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "assign_virtual_domains",
     "train_teacher",
     "train_student",
+    "run_arms",
     "run_leave_one_out",
     "evaluate",
     "flatten_features",
@@ -86,6 +87,8 @@ class TrainConfig:
             raise ValueError("feature_dim must be even and >= 2")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.virtual_domains is not None and self.virtual_domains < 2:
+            raise ValueError("virtual_domains must be >= 2 when set")
 
 
 @dataclass
@@ -132,9 +135,7 @@ def train_val_split(ds: DomainDataset, fraction=0.8, seed=0):
     """Disjoint, exhaustive, class-stratified split of one domain."""
     if len(ds) < 5:
         raise ValueError("need at least 5 samples to split")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(
-        seed, _STREAM_SPLIT, ds.domain
-    )
+    rng = stream(seed, _STREAM_SPLIT, ds.domain)
     train_idx, val_idx = [], []
     for c in np.unique(ds.y):
         rows = np.flatnonzero(ds.y == c)
@@ -183,9 +184,7 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
         raise ValueError("need k >= 2 pseudo-domains")
     if k > len(ds):
         raise ValueError(f"k={k} exceeds {len(ds)} samples")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(
-        seed, _STREAM_VIRTUAL
-    )
+    rng = stream(seed, _STREAM_VIRTUAL)
     labels = rng.integers(0, k, size=len(ds))
     while np.bincount(labels, minlength=k).min() == 0:
         labels = rng.integers(0, k, size=len(ds))
@@ -266,9 +265,7 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
         raise ValueError("distillation is active but no trained teacher was given")
     eff_sources = sources
     if len(sources) == 1 and cfg.virtual_domains:
-        eff_sources = assign_virtual_domains(
-            sources[0], cfg.virtual_domains, stream(cfg.seed, _STREAM_VIRTUAL)
-        )
+        eff_sources = assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
     m_domains = len(eff_sources)
     if w.lambda2 > 0:
         if m_domains < 2:
@@ -331,18 +328,32 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     )
 
 
-def run_leave_one_out(domains, target, cfg: TrainConfig, teacher=None) -> RunResult:
-    """Hold out one domain, train both stages on the rest, score the model
-    on the held-out domain.
+def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
+    """Hold out one domain, train one student per mode on the rest, and
+    score each on the held-out domain; results follow ``modes``.
 
-    A ready ``teacher`` (trained on the same sources and config, the mode
-    aside) is used as given; otherwise one is trained if distillation is
-    active.
+    The teacher depends on everything in the config except the mode, so
+    it is trained once, for the first mode that distills, and every
+    distilling mode learns from that one teacher.
     """
     sources, target_ds = leave_one_out(domains, target)
-    if teacher is None and effective_weights(cfg).lambda1 > 0:
-        teacher = train_teacher(sources, cfg)
-    result = train_student(sources, teacher, cfg)
-    result.teacher = teacher
-    result.target_accuracy = evaluate(result.model, [target_ds])
-    return result
+    teacher = None
+    results = []
+    for mode in modes:
+        arm = replace(cfg, mode=mode)
+        if effective_weights(arm).lambda1 > 0:
+            if teacher is None:
+                teacher = train_teacher(sources, arm)
+            result = train_student(sources, teacher, arm)
+            result.teacher = teacher
+        else:
+            result = train_student(sources, None, arm)
+        result.target_accuracy = evaluate(result.model, [target_ds])
+        results.append(result)
+    return results
+
+
+def run_leave_one_out(domains, target, cfg: TrainConfig) -> RunResult:
+    """Hold out one domain, train both stages on the rest, score the model
+    on the held-out domain."""
+    return run_arms(domains, target, cfg, (cfg.mode,))[0]

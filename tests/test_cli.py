@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import difex.cli
 from difex.cli import main
-from difex.data import BenchConfig, DomainDataset, generate, save_csv
+from difex.data import BenchConfig, DomainDataset, generate, load_dir, save_csv
 from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
 from difex.model import StudentModel, TeacherModel, load_checkpoint, save_checkpoint
 
@@ -76,15 +77,24 @@ def test_generate_is_byte_reproducible(workspace, tmp_path):
         assert a == b
 
 
-def test_generate_config_errors(workspace, tmp_path):
+def test_generate_config_errors(workspace, tmp_path, capsys):
     missing = write(tmp_path / "m.cfg", "domains = 2\n")
     assert main(["generate", "--config", missing, "--out", str(tmp_path / "o")]) == 2
     unknown = write(tmp_path / "u.cfg", GEN_CFG + "colour = red\n")
     assert main(["generate", "--config", unknown, "--out", str(tmp_path / "o")]) == 2
     bad = write(tmp_path / "b.cfg", GEN_CFG.replace("length = 16", "length = sixteen"))
+    capsys.readouterr()
     assert main(["generate", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    assert "bad config value for 'length': 'sixteen'" in capsys.readouterr().err
     malformed = write(tmp_path / "mm.cfg", "domains 2\n")
     assert main(["generate", "--config", malformed, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_repeated_generate_config_key_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path / "g.cfg", GEN_CFG + "seed = 4\n")
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and ":8: repeated key 'seed'" in err
 
 
 # -- train ----------------------------------------------------------------
@@ -145,6 +155,10 @@ def test_train_argument_and_data_errors(workspace, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", workspace["data"], "--out", "x"])  # --target required
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # a config key, not a flag
+        main(["train", workspace["data"], "--target", "0", "--out", "x",
+              "--exploration", "l2"])
+    assert exc.value.code == 1
     assert main(["train", str(tmp_path / "nope"), "--target", "0",
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["train", workspace["data"], "--target", "9",
@@ -167,12 +181,22 @@ def test_numerical_blowup_exits_three(workspace, tmp_path):
 
 @pytest.mark.parametrize("line", [
     "hidden = 0", "lr = nan", "lr = inf", "lr = -0.001", "weight_decay = -1",
+    "virtual_domains = 0", "virtual_domains = 1", "virtual_domains = -1",
 ])
 def test_out_of_range_train_config_exits_two(workspace, tmp_path, capsys, line):
     cfg = write(tmp_path / "t.cfg", TRAIN_CFG + line + "\n")
     assert main(["train", workspace["data"], "--config", cfg,
                  "--target", "0", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("difex: error: ")
+
+
+def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):
+    cfg = write(tmp_path / "t.cfg", TRAIN_CFG + "epochs = 1\n")
+    assert main(["train", workspace["data"], "--config", cfg,
+                 "--target", "0", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and ":5: repeated key 'epochs'" in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_usage_errors_exit_one():
@@ -188,13 +212,15 @@ def test_usage_errors_exit_one():
     '["domain_0.csv"]',
     '{"channels": 2, "files": 5}',
     '{"channels": "two", "files": ["domain_0.csv"]}',
+    None,  # the CSV files alone are not a dataset directory
 ])
 def test_malformed_manifest_exits_two(workspace, tmp_path, capsys, manifest):
     data = tmp_path / "data"
     data.mkdir()
     with open(os.path.join(workspace["data"], "domain_0.csv")) as fh:
         (data / "domain_0.csv").write_text(fh.read())
-    (data / "manifest.json").write_text(manifest)
+    if manifest is not None:
+        (data / "manifest.json").write_text(manifest)
     assert main(["motivate", str(data), "--out", str(tmp_path / "v.csv")]) == 2
     assert capsys.readouterr().err.startswith("difex: error: ")
 
@@ -293,6 +319,21 @@ def test_ablate_grid_and_thread_equivalence(workspace, tmp_path, monkeypatch):
     assert "overall_mean" in summary[0]
 
 
+def test_ablate_parses_the_train_config_once(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("DIFEX_THREADS", "1")
+    paths = []
+    parse_config = difex.cli.parse_config
+
+    def counted(path):
+        paths.append(path)
+        return parse_config(path)
+
+    monkeypatch.setattr(difex.cli, "parse_config", counted)
+    assert main(["ablate", workspace["data"], "--config", workspace["train_cfg"],
+                 "--seeds", "0,1", "--out", str(tmp_path / "o")]) == 0
+    assert paths == [workspace["train_cfg"]]
+
+
 def test_ablate_thread_and_seed_validation(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("DIFEX_THREADS", "0")
     assert main(["ablate", workspace["data"], "--out", str(tmp_path / "o")]) == 2
@@ -384,9 +425,7 @@ def test_motivate_csv_equals_a_per_sample_rebuild(tmp_path):
     assert main(["generate", "--out", data]) == 0
     out = str(tmp_path / "v.csv")
     assert main(["motivate", data, "--out", out]) == 0
-    from difex.cli import _load_data_dir
-
-    domains, _ = _load_data_dir(data)
+    domains = load_dir(data)
     assert len(domains) == 4
     columns, names = [], []
     for ds in domains:
@@ -420,9 +459,7 @@ def test_motivate_id_errors(workspace, tmp_path):
 
 def test_motivate_rejects_mixed_classes(workspace, tmp_path):
     # row 0 is class 0; find a row of another class in domain 0
-    from difex.cli import _load_data_dir
-
-    domains, _ = _load_data_dir(workspace["data"])
+    domains = load_dir(workspace["data"])
     other = int(np.flatnonzero(domains[0].y != domains[0].y[0])[0])
     assert main(["motivate", workspace["data"], "--ids", f"0:0,0:{other}",
                  "--out", str(tmp_path / "v.csv")]) == 2

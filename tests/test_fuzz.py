@@ -1,11 +1,12 @@
-"""Property tests at three input boundaries, the training config file,
-the checkpoint header and the id columns of a dataset CSV: bad input
-exits 2 with a one-line error (or raises ``DataError``), never a
+"""Property tests at the input boundaries, the config files, the dataset
+manifest, the checkpoint header and the cells of a dataset CSV: bad
+input exits 2 with a one-line error (or raises ``DataError``), never a
 traceback."""
 
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from difex.cli import main
-from difex.data import DataError, load_csv
+from difex.data import DataError, load_csv, load_dir
 from difex.model import StudentModel, TeacherModel, save_checkpoint
 from difex.training import MODES
 
@@ -77,7 +78,7 @@ BAD_VALUES = {
     "lambda2": st.one_of(st.sampled_from([NAN, -1.0]), WORDS),
     "lambda3": st.one_of(st.sampled_from([NAN, -INF]), WORDS),
     "exploration": WORDS,  # no digits, so never "l2" or "norm_l1"
-    "virtual_domains": WORDS,
+    "virtual_domains": st.one_of(st.integers(-3, 1), WORDS),
 }
 
 
@@ -102,7 +103,7 @@ GOOD_VALUES = {
     "lambda1": st.floats(0.0, 100.0), "lambda2": st.floats(0.0, 100.0),
     "lambda3": st.floats(0.0, 100.0),
     "exploration": st.sampled_from(["l2", "norm_l1", "norm-l1"]),
-    "virtual_domains": st.integers(-1, 3),
+    "virtual_domains": st.integers(2, 3),
 }
 
 
@@ -118,6 +119,49 @@ def test_any_train_config_exits_cleanly(data_dir, capsys, values, mode, data):
     assert code == 2 if bad else code in (0, 2, 3)
     if code:
         assert err.startswith("difex: ") and err.count("\n") == 1
+
+
+# -- benchmark config -----------------------------------------------------
+
+# small values, so a config that passes generates in milliseconds
+GEN_GOOD = {
+    "domains": st.integers(1, 3), "classes": st.integers(2, 4),
+    "per_class": st.integers(1, 3), "length": st.sampled_from([8, 16]),
+    "channels": st.integers(1, 2), "seed": st.integers(0, 5),
+    "noise": st.floats(0.0, 0.5),
+}
+# any value at all: out of range, a float for an int, a word
+ANY_VALUE = st.one_of(st.integers(-2, 17).map(str), WORDS,
+                      st.floats(allow_infinity=True, allow_nan=True).map(repr))
+GEN_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(GEN_GOOD) + ["colour", "epochs"]),
+              ANY_VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    WORDS,  # a line without "="
+    st.sampled_from(["", "# a comment", "  "]),
+)
+
+
+@settings(FUZZ, max_examples=120)
+@given(values=st.fixed_dictionaries({k: v.map(str) for k, v in GEN_GOOD.items()}),
+       edited=st.dictionaries(st.sampled_from(sorted(GEN_GOOD)), ANY_VALUE,
+                              max_size=2),
+       dropped=st.sets(st.sampled_from(sorted(GEN_GOOD)), max_size=1),
+       extra=st.lists(GEN_LINES, max_size=2))
+def test_any_generate_config_exits_cleanly(capsys, values, edited, dropped, extra):
+    values.update(edited)
+    lines = [f"{k} = {v}" for k, v in values.items() if k not in dropped] + extra
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "bench.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with np.errstate(all="ignore"):
+            code = main(["generate", "--config", cfg, "--out", os.path.join(tmp, "d")])
+    err = capsys.readouterr().err
+    # every key exactly once, nothing else but blank lines and comments
+    must_fail = dropped or any(ln.strip() and not ln.startswith("#") for ln in extra)
+    assert code == 2 if must_fail else code in (0, 2)
+    if code:
+        assert err.startswith("difex: error: ") and err.count("\n") == 1
 
 
 # -- checkpoint header ----------------------------------------------------
@@ -200,7 +244,49 @@ def test_a_garbled_checkpoint_header_exits_two(data_dir, checkpoints, capsys, li
     assert err.startswith("difex: error: ")
 
 
-# -- CSV id columns -------------------------------------------------------
+# -- dataset manifest -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bare_dir(data_dir, tmp_path_factory):
+    """The CSV files of ``data_dir`` without their manifest."""
+    root = tmp_path_factory.mktemp("bare")
+    for d in range(3):
+        shutil.copy(os.path.join(data_dir, f"domain_{d}.csv"), root)
+    return str(root)
+
+
+REAL = st.sampled_from([f"domain_{d}.csv" for d in range(3)])
+NAMES = st.one_of(REAL, st.text(max_size=6),
+                  st.sampled_from(["", ".", "manifest.json"]))
+
+
+def _or_else(good, *other):
+    # half the draws from ``good``: a nested one_of would be flattened
+    return st.one_of(good, st.one_of(*other).map(lambda v: v))
+
+
+@settings(FUZZ, max_examples=150)
+@given(files=_or_else(st.lists(REAL, min_size=1, max_size=4),
+                      st.lists(NAMES, max_size=4), st.just(DELETE), JSON_VALUES),
+       channels=_or_else(st.sampled_from([1, 2, 4]), st.just(DELETE),
+                         st.sampled_from([0, 3, 64, True, 2.0]), JSON_VALUES))
+def test_a_manifest_loads_or_raises_data_error(bare_dir, files, channels):
+    manifest = {k: v for k, v in (("files", files), ("channels", channels))
+                if v is not DELETE}
+    with open(os.path.join(bare_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    try:
+        domains = load_dir(bare_dir)
+    except DataError:
+        return
+    # what loads is every listed file, in order, with a real channel count
+    assert type(channels) is int and channels >= 1
+    assert [ds.domain for ds in domains] == [int(f[7]) for f in files]
+    assert all(ds.X.shape[1:] == (channels, 32 // channels) for ds in domains)
+
+
+# -- CSV cells ------------------------------------------------------------
 
 ID_CELLS = st.one_of(
     st.integers(-2**70, 2**70).map(str),
@@ -225,3 +311,27 @@ def test_csv_id_cells_load_or_raise_data_error(cells):
     assert ds.domain == float(d0) == float(d1)
     assert ds.y.tolist() == [float(l0), float(l1)]
     assert ds.y.min() >= 0
+
+
+FEATURE_CELLS = st.one_of(
+    st.floats().map(repr),  # nan, inf, 1e+308, -0.0
+    st.integers(-2**70, 2**70).map(str),
+    st.text("0123456789.-+eEinfa_ x", max_size=8),
+)
+
+
+@FUZZ
+@given(cells=st.lists(FEATURE_CELLS, min_size=4, max_size=4))
+def test_csv_feature_cells_load_or_raise_data_error(cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "domain.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("domain,label,f_0,f_1\n"
+                     f"0,0,{cells[0]},{cells[1]}\n0,1,{cells[2]},{cells[3]}\n")
+        try:
+            ds = load_csv(path, channels=1)
+        except DataError:
+            return
+    # what loads is exactly the numbers written, all of them finite
+    assert ds.X.reshape(-1).tolist() == [float(c) for c in cells]
+    assert np.all(np.isfinite(ds.X))

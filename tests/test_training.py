@@ -1,9 +1,12 @@
 """Pipeline contracts: splits, batching, mode wiring, and the promise
 that the all-weights-zero path is a plain classifier loop, bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import difex.training
 from difex.autodiff import AdamW, NonFiniteError, Tensor, softmax_cross_entropy
 from difex.data import BenchConfig, generate
 from difex.fourier import fft, phase
@@ -17,6 +20,7 @@ from difex.training import (
     effective_weights,
     evaluate,
     flatten_features,
+    run_arms,
     run_leave_one_out,
     train_student,
     train_teacher,
@@ -57,6 +61,9 @@ def test_config_validation():
         TrainConfig(feature_dim=7)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=1)
+    for k in (-1, 0, 1):
+        with pytest.raises(ValueError, match="virtual_domains"):
+            TrainConfig(virtual_domains=k)
 
 
 def test_effective_weights_per_mode():
@@ -360,6 +367,33 @@ def test_leave_one_out_run_scores_the_held_out_domain():
     assert result.target_accuracy == evaluate(result.model, [domains[2]])
     erm = run_leave_one_out(domains, 2, tiny_cfg(mode="erm", epochs=2))
     assert erm.teacher is None
+
+
+def test_run_arms_equals_one_run_per_arm(monkeypatch):
+    arms = ("erm", "no-intern", "no-mutual", "no-exp", "full")
+    domains = tiny_domains()
+    cfg = tiny_cfg(epochs=2)
+    calls = []
+
+    def counted(sources, cfg):
+        calls.append(cfg.mode)
+        return train_teacher(sources, cfg)
+
+    monkeypatch.setattr(difex.training, "train_teacher", counted)
+    together = run_arms(domains, 1, cfg, arms)
+    # the first arm that distills trains the teacher; the others share it
+    assert calls == ["no-mutual"]
+    assert [r.teacher is None for r in together] == [True, True, False, False, False]
+    assert together[2].teacher is together[3].teacher is together[4].teacher
+    monkeypatch.undo()
+    for arm, got in zip(arms, together):
+        want = run_leave_one_out(domains, 1, replace(cfg, mode=arm))
+        for p, q in zip(got.model.params(), want.model.params()):
+            assert np.array_equal(p.data, q.data)
+        assert got.metrics == want.metrics
+        assert got.target_accuracy == want.target_accuracy
+        assert got.val_accuracy == want.val_accuracy
+        assert got.selected_epoch == want.selected_epoch
 
 
 # -- phase features -------------------------------------------------------
