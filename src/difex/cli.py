@@ -13,16 +13,14 @@ import argparse
 import dataclasses
 import json
 import os
-import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .autodiff import NonFiniteError
-from .data import BenchConfig, DataError, generate, load_dir, save_csv
+from .data import BenchConfig, DataError, check_size, generate, load_dir, save_csv
 from .fourier import row_views
 from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
@@ -99,6 +97,9 @@ def _bench_config(config_path):
         return BenchConfig()
     vals = _read_config(config_path, GENERATE_KEYS, required=True)
     noise = vals.pop("noise")
+    # before np.full, whose size is a config value
+    check_size(vals["domains"], vals["classes"], vals["per_class"],
+               vals["channels"], vals["length"])
     return BenchConfig(noise_sigma=np.full(vals["domains"], noise), **vals)
 
 
@@ -131,6 +132,8 @@ def _config_snapshot(cfg: TrainConfig):
 
 
 def _build_id():
+    import subprocess  # only manifests need it; keeps it out of start-up
+
     try:
         head = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -264,6 +267,9 @@ def cmd_ablate(args):
     ]
     workers = _worker_count(len(grid))
     if workers > 1:
+        # imported here so a serial run or any other command never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_ablate_cell, grid))
     else:
@@ -368,14 +374,12 @@ def cmd_motivate(args):
         for group, view in views:
             names.append(f"{group}_d{d}_{i}")
             columns.append(view[k].reshape(-1))
+    # one row per (channel, bin), as Python floats for repr
+    table = np.stack(columns, axis=1).tolist()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("channel,bin," + ",".join(names) + "\n")
-        row = 0
-        for ch in range(n_ch):
-            for b in range(length):
-                vals = ",".join(repr(float(c[row])) for c in columns)
-                fh.write(f"{ch},{b},{vals}\n")
-                row += 1
+        for row, vals in enumerate(table):
+            fh.write(f"{row // length},{row % length},{','.join(map(repr, vals))}\n")
     print(f"wrote {4 * len(picks)} column groups "
           f"({len(picks)} sample(s)) to {args.out}")
     return EXIT_OK
@@ -383,8 +387,7 @@ def cmd_motivate(args):
 
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
-    domains = load_dir(args.data)
-    matches = [ds for ds in domains if ds.domain == args.target]
+    matches = load_dir(args.data, domains={args.target})
     if not matches:
         raise DataError(f"target domain {args.target} not in dataset")
     acc = evaluate(model, matches)

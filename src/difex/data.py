@@ -29,6 +29,7 @@ drives them to diversify, pick up the stable code as well.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ __all__ = [
     "DataError",
     "DomainDataset",
     "BenchConfig",
+    "MAX_CELLS",
+    "check_size",
     "generate",
     "leave_one_out",
     "save_csv",
@@ -190,6 +193,23 @@ def _check_code_bins(bins, n, taken, what):
     return out
 
 
+# the most float64 sample cells (domains x classes x per_class x channels
+# x length) a benchmark may have; the default benchmark has 153,600
+MAX_CELLS = 2**26
+
+
+def check_size(domains, classes, per_class, channels, length):
+    """Reject a benchmark whose sample array would exceed MAX_CELLS cells,
+    before anything of that size is allocated."""
+    cells = math.prod(int(v) for v in (domains, classes, per_class, channels, length))
+    if cells > MAX_CELLS:
+        raise DataError(
+            f"{domains} domains x {classes} classes x {per_class} per class x "
+            f"{channels} channels x length {length} is {cells} sample values; "
+            f"the limit is {MAX_CELLS}"
+        )
+
+
 @dataclass
 class BenchConfig:
     """Everything that determines a generated benchmark.
@@ -230,6 +250,7 @@ class BenchConfig:
             raise DataError(f"length must be a power of two >= 4, got {n}")
         if self.channels < 1:
             raise DataError("need >=1 channel")
+        check_size(self.domains, self.classes, self.per_class, self.channels, n)
         if self.patterns is None:
             self.patterns = _default_patterns(self.classes, n)
         if len(self.patterns) != self.classes:
@@ -479,9 +500,9 @@ def save_csv(ds: DomainDataset, path):
     flat = ds.X.reshape(len(ds), -1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_header(flat.shape[1]) + "\n")
-        for i in range(len(ds)):
-            values = ",".join(repr(float(v)) for v in flat[i])
-            fh.write(f"{ds.domain},{int(ds.y[i])},{values}\n")
+        # repr of a tolist() float is repr(float(v)), without a numpy scalar
+        for label, row in zip(ds.y.tolist(), flat.tolist()):
+            fh.write(f"{ds.domain},{label},{','.join(map(repr, row))}\n")
 
 
 def _read_manifest(path):
@@ -515,14 +536,58 @@ def _manifest_channels(path):
     return _read_manifest(manifest)["channels"]
 
 
-def load_dir(path):
+def load_dir(path, domains=None):
     """The datasets of a directory written by `generate`: the CSV files
-    its manifest.json lists, in that order."""
+    its manifest.json lists, in that order.
+
+    With ``domains`` (a set of domain ids), only datasets of those domains
+    are returned. A file whose first data row names a domain outside the
+    set is skipped unparsed; any other file is loaded in full, so it fails
+    as it would without the filter.
+    """
     manifest = _read_manifest(os.path.join(path, "manifest.json"))
     if not manifest["files"]:
         raise DataError(f"{path}: manifest.json lists no dataset files")
-    return [load_csv(os.path.join(path, name), channels=manifest["channels"])
-            for name in manifest["files"]]
+    out = []
+    for name in manifest["files"]:
+        file = os.path.join(path, name)
+        if domains is not None:
+            first = _first_domain(file)
+            if first is not None and first not in domains:
+                continue
+        ds = load_csv(file, channels=manifest["channels"])
+        if domains is None or ds.domain in domains:
+            out.append(ds)
+    return out
+
+
+# enough characters for a header and the first cell of the next row
+_PEEK_CHARS = 1 << 16
+
+
+def _first_domain(path):
+    """The domain cell of a dataset file's first data row as a float, or
+    None when the file cannot be read that far or the cell does not parse.
+
+    The row is split as `load_csv` splits it, and the cell parses as its
+    float64 would, so a whole number compares equal to its integer id.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fh.read(_PEEK_CHARS)
+    except (OSError, ValueError):
+        return None
+    lines = head.splitlines()
+    if len(lines) < 2:
+        return None
+    row = lines[1]
+    # the cell is whole once a comma or line break follows it, or at the end
+    if "," not in row and len(lines) == 2 and len(head) == _PEEK_CHARS:
+        return None
+    try:
+        return float(row.split(",", 1)[0])
+    except ValueError:
+        return None
 
 
 # integer ids of magnitude below 2**_ID_BITS convert to intp exactly

@@ -1,7 +1,12 @@
 """End-to-end command tests: exit codes, artifacts, reproducibility."""
 
+import concurrent.futures
 import json
 import os
+import shutil
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +93,26 @@ def test_generate_config_errors(workspace, tmp_path, capsys):
     assert "bad config value for 'length': 'sixteen'" in capsys.readouterr().err
     malformed = write(tmp_path / "mm.cfg", "domains 2\n")
     assert main(["generate", "--config", malformed, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key", ["domains", "per_class"])
+def test_a_huge_generate_size_exits_two_without_allocating(tmp_path, capsys, key):
+    line = {"domains": "domains = 3", "per_class": "per_class = 6"}[key]
+    cfg = write(tmp_path / "huge.cfg",
+                GEN_CFG.replace(line, f"{key} = 1000000000000"))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert "limit" in err and "1000000000000" in err
+    assert peak < 1 << 20 and not out.exists()
 
 
 def test_repeated_generate_config_key_exits_two(tmp_path, capsys):
@@ -248,6 +273,23 @@ def test_eval_teacher_checkpoint(workspace, capsys):
     assert 0.0 <= acc <= 1.0
 
 
+def test_eval_reads_only_its_target_domain(workspace, tmp_path, capsys):
+    student = os.path.join(workspace["run"], "student.ckpt")
+    copy = tmp_path / "data"
+    shutil.copytree(workspace["data"], copy)
+    lines = (copy / "domain_2.csv").read_text().splitlines()
+    lines[-2] = lines[-2].rsplit(",", 1)[0] + ",oops"
+    (copy / "domain_2.csv").write_text("\n".join(lines) + "\n")
+    printed = []
+    for data in (workspace["data"], str(copy)):
+        assert main(["eval", data, "--checkpoint", student, "--target", "0"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].startswith("target=0 ")
+    assert main(["eval", str(copy), "--checkpoint", student, "--target", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and "domain_2.csv" in err
+
+
 def test_eval_errors(workspace, tmp_path):
     assert main(["eval", workspace["data"], "--checkpoint",
                  str(tmp_path / "none.ckpt"), "--target", "0"]) == 2
@@ -296,6 +338,14 @@ def test_checkpoint_input_kind_is_checked(workspace, tmp_path, capsys, kind, val
 
 
 def test_ablate_grid_and_thread_equivalence(workspace, tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     outs = {}
     for label, threads in (("serial", "1"), ("pool", "2")):
         out = str(tmp_path / label)
@@ -304,6 +354,7 @@ def test_ablate_grid_and_thread_equivalence(workspace, tmp_path, monkeypatch):
                      workspace["train_cfg"], "--seeds", "0,1",
                      "--out", out]) == 0
         outs[label] = out
+    assert pools == [2]  # the serial run starts no pool, the other one does
     lines = open(os.path.join(outs["serial"], "runs.csv")).read().splitlines()
     assert lines[0] == "target,mode,seed,target_acc,val_acc,selected_epoch"
     assert len(lines) == 1 + 3 * 5 * 2  # targets x arms x seeds
@@ -476,3 +527,18 @@ def test_saved_student_reloads_identically(workspace):
     again, _ = load_checkpoint(os.path.join(run, "student.ckpt"))
     for p, q in zip(model.params(), again.params()):
         assert np.array_equal(p.data, q.data)
+
+
+# -- start-up -------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_neither_a_pool_nor_subprocess():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import difex.cli, sys; "
+            "print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

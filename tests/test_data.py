@@ -1,5 +1,6 @@
 """Benchmark generator invariants, dataset I/O contracts, and splits."""
 
+import json
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from difex.data import (
     generate,
     leave_one_out,
     load_csv,
+    load_dir,
     save_csv,
 )
 from difex.fourier import amplitude, fft, per_channel_phase
@@ -262,6 +264,80 @@ def test_csv_10k_rows_round_trip_under_a_second(tmp_path):
     assert time.monotonic() - t0 < 1.0
     for ds, b in zip(doms, back):
         assert np.array_equal(ds.X, b.X)
+
+
+def test_save_csv_writes_each_value_as_repr_of_its_float(tmp_path):
+    X = np.array([[[-0.0, 5e-324, 1e-05]], [[1e16, 123456789.0, -2.5]]])
+    ds = DomainDataset(7, X, np.array([0, 3]))
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    lines = ["domain,label,f_0,f_1,f_2"]
+    for label, row in zip((0, 3), X.reshape(2, -1)):
+        lines.append("7," + str(label) + "," + ",".join(repr(float(v)) for v in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert lines[1] == "7,0,-0.0,5e-324,1e-05"
+    assert lines[2] == "7,3,1e+16,123456789.0,-2.5"
+
+
+def _write_dir(path, datasets, order=None):
+    names = [f"domain_{ds.domain}.csv" for ds in datasets]
+    for ds, name in zip(datasets, names):
+        save_csv(ds, path / name)
+    files = names if order is None else [names[i] for i in order]
+    (path / "manifest.json").write_text(json.dumps({"channels": 2, "files": files}))
+
+
+def test_load_dir_with_domains_keeps_only_those_in_manifest_order(tmp_path):
+    _write_dir(tmp_path, generate(small_cfg(per_class=2)), order=[2, 0, 1])
+    full = load_dir(tmp_path)
+    assert [ds.domain for ds in full] == [2, 0, 1]
+    for wanted in ({0}, {1}, {2}, {2, 0}, {0, 1, 2}, {5}, set()):
+        picked = load_dir(tmp_path, domains=wanted)
+        expect = [ds for ds in full if ds.domain in wanted]
+        assert [ds.domain for ds in picked] == [ds.domain for ds in expect]
+        for a, b in zip(picked, expect):
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def test_load_dir_matches_domain_ids_numerically(tmp_path):
+    ds = generate(small_cfg(per_class=1))[1]
+    _write_dir(tmp_path, [ds])
+    path = tmp_path / "domain_1.csv"
+    lines = path.read_text().splitlines()
+    # "1,0,..." -> "1.0,0,..." on every data row
+    path.write_text("\n".join([lines[0]] + ["1.0" + ln[1:] for ln in lines[1:]]) + "\n")
+    (back,) = load_dir(tmp_path, domains={1})
+    assert back.domain == 1 and np.array_equal(back.X, ds.X)
+    assert load_dir(tmp_path, domains={0}) == []
+
+
+def test_load_dir_with_domains_loads_what_it_cannot_rule_out(tmp_path):
+    _write_dir(tmp_path, generate(small_cfg(per_class=1))[:2])
+    bad = tmp_path / "domain_1.csv"
+    # a first-row domain that does not parse, a file with only its header,
+    # a file that cannot be read: each is loaded, so each fails as before
+    lines = bad.read_text().splitlines()
+    for text in ["\n".join([lines[0], "one" + lines[1][1:]]) + "\n",
+                 lines[0] + "\n"]:
+        bad.write_text(text)
+        with pytest.raises(DataError, match="domain_1"):
+            load_dir(tmp_path, domains={0})
+    bad.unlink()
+    with pytest.raises(DataError, match="cannot read"):
+        load_dir(tmp_path, domains={0})
+    # a late bad row of a file whose first row names another domain is
+    # never parsed
+    _write_dir(tmp_path, generate(small_cfg(per_class=1))[:2])
+    bad.write_text(bad.read_text() + "1,0,oops\n")
+    assert [ds.domain for ds in load_dir(tmp_path, domains={0})] == [0]
+    with pytest.raises(DataError, match="domain_1"):
+        load_dir(tmp_path, domains={1})
+
+
+def test_config_rejects_sizes_beyond_the_ceiling():
+    for kw in (dict(domains=10**12), dict(per_class=10**12)):
+        with pytest.raises(DataError, match="limit"):
+            small_cfg(**kw)
 
 
 def test_csv_errors_name_the_line(tmp_path):

@@ -270,19 +270,22 @@ def _or_else(good, *other):
 @given(files=_or_else(st.lists(REAL, min_size=1, max_size=4),
                       st.lists(NAMES, max_size=4), st.just(DELETE), JSON_VALUES),
        channels=_or_else(st.sampled_from([1, 2, 4]), st.just(DELETE),
-                         st.sampled_from([0, 3, 64, True, 2.0]), JSON_VALUES))
-def test_a_manifest_loads_or_raises_data_error(bare_dir, files, channels):
+                         st.sampled_from([0, 3, 64, True, 2.0]), JSON_VALUES),
+       wanted=st.one_of(st.none(), st.sets(st.integers(-1, 3), max_size=3)))
+def test_a_manifest_loads_or_raises_data_error(bare_dir, files, channels, wanted):
     manifest = {k: v for k, v in (("files", files), ("channels", channels))
                 if v is not DELETE}
     with open(os.path.join(bare_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
     try:
-        domains = load_dir(bare_dir)
+        domains = load_dir(bare_dir, domains=wanted)
     except DataError:
         return
-    # what loads is every listed file, in order, with a real channel count
+    # what loads is every listed file of a wanted domain, in order, with a
+    # real channel count
     assert type(channels) is int and channels >= 1
-    assert [ds.domain for ds in domains] == [int(f[7]) for f in files]
+    assert [ds.domain for ds in domains] == [
+        int(f[7]) for f in files if wanted is None or int(f[7]) in wanted]
     assert all(ds.X.shape[1:] == (channels, 32 // channels) for ds in domains)
 
 
