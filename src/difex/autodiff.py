@@ -29,17 +29,14 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "Tensor",
-    "add_bias",
     "concat_cols",
     "dense",
     "matmul",
-    "relu",
     "rowwise_div",
     "softmax_cross_entropy",
     "squash_rows",
     "sum_all",
     "sum_rows",
-    "take_rows",
     "backward",
     "AdamW",
     "finite_difference_grad",
@@ -260,13 +257,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    return a.relu()
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``x @ w + b`` as one node; same bits as
-    ``add_bias(matmul(x, w), b)``."""
+    """Affine layer ``x @ w + b`` as one node; same bits as ``matmul``
+    followed by a separate bias-add node."""
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.data.shape[1] != w.data.shape[0]
             or w.data.shape[1] != b.data.shape[0]):
@@ -277,20 +270,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         b.grad += g.sum(axis=0)
         x.grad += g @ w.data.T
         w.grad += x.data.T @ g
-
-    out._backprop = backprop
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-h bias vector to every row of a B-by-h matrix."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"add_bias: {x.data.shape} + {b.data.shape}")
-    out = Tensor._op(x.data + b.data, (x, b))
-
-    def backprop(g):
-        x.grad += g
-        b.grad += g.sum(axis=0)
 
     out._backprop = backprop
     return out
@@ -371,18 +350,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def backprop(g):
         a.grad += g[:, :p]
         b.grad += g[:, p:]
-
-    out._backprop = backprop
-    return out
-
-
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows by integer index; gradient scatter-adds back."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor._op(x.data[idx], (x,))
-
-    def backprop(g):
-        np.add.at(x.grad, idx, g)
 
     out._backprop = backprop
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NonFiniteError
-from .data import BenchConfig, DataError, check_size, generate, load_dir, save_csv
+from .data import BenchConfig, DataError, generate, load_dir, save_csv
 from .fourier import row_views
 from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
@@ -96,11 +96,7 @@ def _bench_config(config_path):
     if config_path is None:
         return BenchConfig()
     vals = _read_config(config_path, GENERATE_KEYS, required=True)
-    noise = vals.pop("noise")
-    # before np.full, whose size is a config value
-    check_size(vals["domains"], vals["classes"], vals["per_class"],
-               vals["channels"], vals["length"])
-    return BenchConfig(noise_sigma=np.full(vals["domains"], noise), **vals)
+    return BenchConfig(noise_sigma=vals.pop("noise"), **vals)
 
 
 TRAIN_KEYS = {
@@ -156,19 +152,14 @@ def _write_manifest(path, payload):
         fh.write("\n")
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # -- subcommands ---------------------------------------------------------
 
 
 def cmd_generate(args):
     cfg = _bench_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     datasets = generate(cfg)
+    # only once every sample exists, so a failed run leaves no directory
+    os.makedirs(args.out, exist_ok=True)
     files = []
     for ds in datasets:
         name = f"domain_{ds.domain}.csv"
@@ -189,14 +180,15 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def write_metrics(rows, path):
-    """One line per epoch row; the columns are the keys of the first row,
-    in its order."""
+def write_table(rows, path):
+    """A CSV of dict rows; the columns are the keys of the first row, in
+    its order. Values are written with ``str``, which for a float is its
+    shortest round-trip repr."""
     cols = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+            fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
 def cmd_train(args):
@@ -209,7 +201,7 @@ def cmd_train(args):
     if result.teacher is not None:
         save_checkpoint(result.teacher, os.path.join(args.out, "teacher.ckpt"),
                         seed=cfg.seed)
-    write_metrics(result.metrics, os.path.join(args.out, "metrics.csv"))
+    write_table(result.metrics, os.path.join(args.out, "metrics.csv"))
     _write_manifest(os.path.join(args.out, "manifest.json"), {
         "command": "train",
         "data": os.path.abspath(args.data),
@@ -278,13 +270,7 @@ def cmd_ablate(args):
     rows.sort(key=lambda r: (r["target"], ABLATION_ARMS.index(r["mode"]), r["seed"]))
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "runs.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("target,mode,seed,target_acc,val_acc,selected_epoch\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[k]) for k in
-                              ("target", "mode", "seed", "target_acc",
-                               "val_acc", "selected_epoch")) + "\n")
+    write_table(rows, os.path.join(args.out, "runs.csv"))
 
     # per arm, (mean, std) of target_acc on each target, then over all of them
     summary = {}
@@ -294,13 +280,13 @@ def cmd_ablate(args):
         groups.append([acc for g in groups for acc in g])
         summary[arm] = [(float(np.mean(g)), float(np.std(g))) for g in groups]
     names = [f"target_{t}" for t in targets] + ["overall"]
-    heads = ["mode"] + [f"{n}_{stat}" for n in names for stat in ("mean", "std")]
-    with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(",".join(heads) + "\n")
-        for arm, stats in summary.items():
-            fh.write(arm + "," + ",".join(repr(v) for ms in stats for v in ms)
-                     + "\n")
+    summary_rows = []
+    for arm, stats in summary.items():
+        row = {"mode": arm}
+        for name, (mean, std) in zip(names, stats):
+            row[f"{name}_mean"], row[f"{name}_std"] = mean, std
+        summary_rows.append(row)
+    write_table(summary_rows, os.path.join(args.out, "summary.csv"))
     lines = [f"{'mode':<10}" + "".join(f"target {t:<12}" for t in targets)
              + "overall"]
     for arm, stats in summary.items():

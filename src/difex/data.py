@@ -51,11 +51,20 @@ __all__ = [
     "load_csv",
     "load_dir",
     "domain_shift_report",
+    "stream",
 ]
 
 
 class DataError(ValueError):
     """Malformed dataset files or invalid benchmark configuration."""
+
+
+def stream(seed, *key):
+    """Independent generator for one named purpose under one seed: PCG64
+    seeded by ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    )
 
 
 @dataclass
@@ -147,10 +156,7 @@ def _default_decoy_maps(domains, classes, n_bins, seed):
     words = np.arange(1, classes + 1)
     maps = np.empty((domains, classes), dtype=np.intp)
     for d in range(domains):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(15, d)))
-        )
-        maps[d] = words[rng.permutation(classes)]
+        maps[d] = words[stream(seed, 15, d).permutation(classes)]
     return maps
 
 
@@ -163,9 +169,7 @@ def _default_envelopes(domains, length, amplitude_scale, seed, flat_bins=()):
     k = np.arange(length)
     profile = np.cos(2.0 * np.pi * k / length)
     env = amplitude_scale * gains[:, None] * (1.0 + tilts[:, None] * profile[None, :])
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(14,)))
-    )
+    rng = stream(seed, 14)
     half = length // 2
     jag = np.empty((domains, length))
     for d in range(domains):
@@ -217,7 +221,8 @@ class BenchConfig:
     patterns: per class, a list of (bin, phase offset) pairs; bins must sit
     strictly inside the half-spectrum so each has a distinct mirror bin.
     envelopes: domains x length positive gains applied to the spectrum.
-    noise_sigma: per-domain standard deviation of added spectral noise.
+    noise_sigma: per-domain standard deviation of added spectral noise, or
+    one value for every domain.
     decoy_bins / decoy_levels / decoy_maps: the domain-keyed amplitude
     shortcut (maps is domains x classes codewords). stable_bins /
     stable_levels / stable_words: the domain-invariant amplitude code
@@ -243,13 +248,19 @@ class BenchConfig:
     stable_words: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.domains < 1 or self.classes < 2 or self.per_class < 1:
-            raise DataError("need >=1 domain, >=2 classes, >=1 sample per class")
+        # every size is checked before anything is sized by it
+        for key, least, what in (
+            ("domains", 1, "domain"), ("classes", 2, "classes"),
+            ("per_class", 1, "sample per class"), ("channels", 1, "channel"),
+        ):
+            value = getattr(self, key)
+            if value < least:
+                raise DataError(f"need >={least} {what}, got {key} = {value}")
         n = self.length
         if n < 4 or n & (n - 1):
             raise DataError(f"length must be a power of two >= 4, got {n}")
-        if self.channels < 1:
-            raise DataError("need >=1 channel")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         check_size(self.domains, self.classes, self.per_class, self.channels, n)
         if self.patterns is None:
             self.patterns = _default_patterns(self.classes, n)
@@ -308,15 +319,22 @@ class BenchConfig:
                 flat_bins=self.stable_bins,
             )
         if self.noise_sigma is None:
-            self.noise_sigma = np.full(self.domains, 0.1)
+            self.noise_sigma = 0.1
         self.envelopes = np.asarray(self.envelopes, dtype=np.float64)
         self.noise_sigma = np.asarray(self.noise_sigma, dtype=np.float64)
+        if self.noise_sigma.ndim == 0:
+            self.noise_sigma = np.full(self.domains, self.noise_sigma)
         if self.envelopes.shape != (self.domains, n):
             raise DataError(f"envelopes must be {self.domains} x {n}")
         if np.any(self.envelopes <= 0):
             raise DataError("envelopes must be strictly positive")
-        if self.noise_sigma.shape != (self.domains,) or np.any(self.noise_sigma < 0):
-            raise DataError("noise_sigma must be one non-negative value per domain")
+        sigma = self.noise_sigma
+        # NaN fails sigma >= 0, but inf passes it
+        valid = np.isfinite(sigma) & (sigma >= 0)
+        if sigma.shape != (self.domains,) or not valid.all():
+            raise DataError(
+                "noise_sigma must be one finite, non-negative value per domain"
+            )
 
     @staticmethod
     def _check_levels(levels, name):
@@ -402,9 +420,7 @@ def _roll_angles(cfg: BenchConfig, cls: int):
     in every domain: cross-domain correspondence (and with it the
     noiseless phase-equality property) is preserved.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(12, cls)))
-    )
+    rng = stream(cfg.seed, 12, cls)
     return rng.uniform(-np.pi, np.pi, (cfg.per_class, cfg.channels))
 
 
@@ -445,9 +461,7 @@ def generate(cfg: BenchConfig):
     rolls = [_roll_angles(cfg, c) for c in range(cfg.classes)]
     out = []
     for d in range(cfg.domains):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(11, d)))
-        )
+        rng = stream(cfg.seed, 11, d)
         n_total = cfg.samples_per_domain
         X = np.empty((n_total, cfg.channels, n))
         y = np.empty(n_total, dtype=np.intp)
@@ -675,9 +689,7 @@ def domain_shift_report(domains, seed=0, steps=150):
     for kind in ("amp", "phase"):
         X, dom = _probe_features(domains, kind)
         dom = np.array([remap[d] for d in dom], dtype=np.intp)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(13,)))
-        )
+        rng = stream(seed, 13)
         order = rng.permutation(len(X))
         cut = int(0.8 * len(X))
         tr, te = order[:cut], order[cut:]

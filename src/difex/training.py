@@ -1,6 +1,10 @@
 """Two-stage training: phase teacher first, then the student with the
 combined objective; plus batching, splits, and the virtual-domain trick.
 
+Both stages run through one fit loop, ``_fit``, and one data set-up,
+``_split_pool``; each stage brings only its own batching, as a per-epoch
+generator of ``(loss, parts)``.
+
 Every random choice draws from its own named stream spawned off the run
 seed (split, teacher init, teacher batches, student init, student
 batches, virtual assignment). Streams a mode does not use are never
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import AdamW, Tensor, softmax_cross_entropy
-from .data import DomainDataset, leave_one_out
+from .data import DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
 from .losses import DomainBatch, LossWeights, total_objective
 from .model import StudentModel, TeacherModel, predict
@@ -45,13 +49,6 @@ _STREAM_TEACHER_BATCH = 42
 _STREAM_STUDENT_INIT = 43
 _STREAM_VIRTUAL = 47
 _STREAM_STUDENT_BATCH = 53
-
-
-def stream(seed, *key):
-    """Independent generator for one named purpose under one run seed."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-    )
 
 
 @dataclass
@@ -195,11 +192,17 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
     return out
 
 
-def _split_sources(sources, cfg):
+def _split_pool(sources, cfg, input_kind):
+    """Split every source, pool each side as ``input_kind`` features and
+    count the classes: (train parts, (X, y, rows per part), (X, y), classes)."""
     pairs = [
         train_val_split(ds, 1.0 - cfg.val_fraction, cfg.seed) for ds in sources
     ]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    train_list = [p[0] for p in pairs]
+    Xtr, ytr, rows = _pool(train_list, input_kind)
+    Xva, yva, _ = _pool([p[1] for p in pairs], input_kind)
+    classes = int(max(ytr.max(), yva.max())) + 1
+    return train_list, (Xtr, ytr, rows), (Xva, yva), classes
 
 
 def _pool(ds_list, input_kind):
@@ -210,13 +213,35 @@ def _pool(ds_list, input_kind):
     return X, y, rows
 
 
-def _snapshot(params):
-    return [p.data.copy() for p in params]
-
-
-def _restore(params, snap):
-    for p, s in zip(params, snap):
-        p.data = s.copy()
+def _fit(model, steps, val, cfg):
+    """Train ``model`` with AdamW and leave it at the epoch with the best
+    validation accuracy (the first, on ties). ``steps(epoch)`` yields
+    ``(loss, parts)`` per batch; an epoch's metrics row holds the mean of
+    each part. Returns (metrics, best epoch, best validation accuracy)."""
+    Xva, yva = val
+    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    metrics = []
+    best_acc, best_params, best_epoch = -1.0, None, -1
+    for epoch in range(cfg.epochs):
+        sums, count = {}, 0
+        for loss, parts in steps(epoch):
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            for key, value in parts.items():
+                sums[key] = sums.get(key, 0.0) + value
+            count += 1
+        acc = float(np.mean(predict(model, Xva) == yva))
+        row = {"epoch": epoch}
+        row.update({key: total / count for key, total in sums.items()})
+        row["val_acc"] = acc
+        metrics.append(row)
+        if acc > best_acc:
+            best_acc, best_epoch = acc, epoch
+            best_params = [p.data.copy() for p in model.params()]
+    for p, data in zip(model.params(), best_params):
+        p.data = data
+    return metrics, best_epoch, best_acc
 
 
 def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
@@ -224,31 +249,27 @@ def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
     return the epoch snapshot with the best validation accuracy."""
     if not sources:
         raise ValueError("no source domains")
-    train_list, val_list = _split_sources(sources, cfg)
-    Xtr, ytr, _ = _pool(train_list, "phase")
-    Xva, yva, _ = _pool(val_list, "phase")
-    classes = int(max(ytr.max(), yva.max())) + 1
+    _, (Xtr, ytr, _), val, classes = _split_pool(sources, cfg, "phase")
     teacher = TeacherModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim // 2, classes,
         stream(cfg.seed, _STREAM_TEACHER_INIT),
     )
-    opt = AdamW(teacher.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    best_acc, best_snap = -1.0, None
-    n = len(Xtr)
-    for epoch in range(cfg.epochs):
-        order = stream(cfg.seed, _STREAM_TEACHER_BATCH, epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
+
+    def steps(epoch):
+        # every row once per epoch, in a fresh order; the last batch may be short
+        order = stream(cfg.seed, _STREAM_TEACHER_BATCH, epoch).permutation(len(Xtr))
+        for start in range(0, len(Xtr), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             _, logits = teacher.forward(Tensor(Xtr[rows]))
-            loss = softmax_cross_entropy(logits, ytr[rows])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        acc = float(np.mean(predict(teacher, Xva) == yva))
-        if acc > best_acc:
-            best_acc, best_snap = acc, _snapshot(teacher.params())
-    _restore(teacher.params(), best_snap)
+            yield softmax_cross_entropy(logits, ytr[rows]), {}
+
+    _fit(teacher, steps, val, cfg)
     return teacher
+
+
+# metrics.csv column of each part that total_objective reports
+_COLUMNS = {"cls": "cls_loss", "mse": "mse_loss", "align": "align_loss",
+            "exp": "exp_loss", "total": "total"}
 
 
 def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
@@ -276,50 +297,33 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
             raise ValueError(
                 f"batch_size {cfg.batch_size} < 2 x {m_domains} domains"
             )
-    train_list, val_list = _split_sources(eff_sources, cfg)
     input_kind = "phase" if cfg.mode == "phase-only" else "raw"
-    Xtr, ytr, domain_rows = _pool(train_list, input_kind)
+    train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(
+        eff_sources, cfg, input_kind
+    )
     dom_idx = np.concatenate(
         [np.full(len(rows), i, dtype=np.intp) for i, rows in enumerate(domain_rows)]
     )
-    Xva, yva, _ = _pool(val_list, input_kind)
     teacher_feat = None
     if w.lambda1 > 0:
         Xtr_phase, _, _ = _pool(train_list, "phase")
         teacher_feat = teacher.forward_np(Xtr_phase)[0]
-    classes = int(max(ytr.max(), yva.max())) + 1
     student = StudentModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim, classes,
         stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind,
     )
-    opt = AdamW(student.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    col = {"cls": "cls_loss", "mse": "mse_loss", "align": "align_loss",
-           "exp": "exp_loss", "total": "total"}
-    metrics = []
-    best_acc, best_snap, best_epoch = -1.0, None, -1
-    for epoch in range(cfg.epochs):
+
+    def steps(epoch):
         rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
-        sums, steps = {}, 0
         for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
             xb = Tensor(Xtr[idx])
             out = student.forward(xb)
             batch = DomainBatch(xb, ytr[idx], dom_idx[idx])
             tf = teacher_feat[idx] if teacher_feat is not None else None
             total, parts = total_objective(batch, tf, out, w)
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            for key, val in parts.items():
-                sums[key] = sums.get(key, 0.0) + val
-            steps += 1
-        acc = float(np.mean(predict(student, Xva) == yva))
-        row = {"epoch": epoch}
-        row.update({col[k]: v / steps for k, v in sums.items()})
-        row["val_acc"] = acc
-        metrics.append(row)
-        if acc > best_acc:
-            best_acc, best_snap, best_epoch = acc, _snapshot(student.params()), epoch
-    _restore(student.params(), best_snap)
+            yield total, {_COLUMNS[k]: v for k, v in parts.items()}
+
+    metrics, best_epoch, best_acc = _fit(student, steps, val, cfg)
     return RunResult(
         model=student,
         metrics=metrics,

@@ -115,6 +115,25 @@ def test_a_huge_generate_size_exits_two_without_allocating(tmp_path, capsys, key
     assert peak < 1 << 20 and not out.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("noise = nan", "noise_sigma must be one finite"),
+    ("noise = inf", "noise_sigma must be one finite"),
+    ("domains = -2", "need >=1 domain, got domains = -2"),
+])
+def test_a_bad_generate_value_exits_two_without_a_directory(
+        tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    old = next(ln for ln in GEN_CFG.splitlines() if ln.startswith(key + " "))
+    cfg = write(tmp_path / "bad.cfg", GEN_CFG.replace(old, line))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_repeated_generate_config_key_exits_two(tmp_path, capsys):
     cfg = write(tmp_path / "g.cfg", GEN_CFG + "seed = 4\n")
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

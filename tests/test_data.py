@@ -140,6 +140,10 @@ def test_config_rejects_basic_misuse():
         BenchConfig(length=2)
     with pytest.raises(DataError):
         BenchConfig(channels=0)
+    with pytest.raises(DataError, match="per_class = 0"):
+        BenchConfig(per_class=0)
+    with pytest.raises(DataError, match="seed"):
+        BenchConfig(seed=-1)
 
 
 def test_config_rejects_duplicate_patterns():
@@ -164,6 +168,13 @@ def test_config_rejects_bad_envelopes_and_noise():
         small_cfg(noise_sigma=np.full(3, -0.1))
     with pytest.raises(DataError, match="noise"):
         small_cfg(noise_sigma=np.zeros(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="noise"):
+            small_cfg(noise_sigma=np.full(3, bad))
+        with pytest.raises(DataError, match="noise"):
+            small_cfg(noise_sigma=bad)
+    # one value stands for every domain
+    assert np.array_equal(small_cfg(noise_sigma=0.3).noise_sigma, np.full(3, 0.3))
 
 
 def test_config_rejects_bad_code_layout():

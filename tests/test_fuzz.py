@@ -141,6 +141,20 @@ GEN_LINES = st.one_of(
 )
 
 
+def _generate(lines, capsys):
+    """Exit code, stderr and whether the output directory exists after a
+    `generate` with these config lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "bench.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "d")
+        with np.errstate(all="ignore"):
+            code = main(["generate", "--config", cfg, "--out", out])
+        made_dir = os.path.exists(out)
+    return code, capsys.readouterr().err, made_dir
+
+
 @settings(FUZZ, max_examples=120)
 @given(values=st.fixed_dictionaries({k: v.map(str) for k, v in GEN_GOOD.items()}),
        edited=st.dictionaries(st.sampled_from(sorted(GEN_GOOD)), ANY_VALUE,
@@ -150,18 +164,38 @@ GEN_LINES = st.one_of(
 def test_any_generate_config_exits_cleanly(capsys, values, edited, dropped, extra):
     values.update(edited)
     lines = [f"{k} = {v}" for k, v in values.items() if k not in dropped] + extra
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "bench.cfg")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with np.errstate(all="ignore"):
-            code = main(["generate", "--config", cfg, "--out", os.path.join(tmp, "d")])
-    err = capsys.readouterr().err
+    code, err, made_dir = _generate(lines, capsys)
     # every key exactly once, nothing else but blank lines and comments
     must_fail = dropped or any(ln.strip() and not ln.startswith("#") for ln in extra)
     assert code == 2 if must_fail else code in (0, 2)
     if code:
         assert err.startswith("difex: error: ") and err.count("\n") == 1
+        assert not made_dir
+
+
+# per key, negative or non-finite values the documented rules reject
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+GEN_BAD = {
+    "domains": st.integers(-3, 0), "classes": st.integers(-3, 1),
+    "per_class": st.integers(-3, 0), "length": st.integers(-3, -1),
+    "channels": st.integers(-3, 0), "seed": st.integers(-3, -1),
+    "noise": st.one_of(st.floats(max_value=-1e-300).map(repr), NON_FINITE),
+}
+
+
+@settings(FUZZ, max_examples=80)
+@given(values=st.fixed_dictionaries({k: v.map(str) for k, v in GEN_GOOD.items()}),
+       bad=st.lists(st.sampled_from(sorted(GEN_BAD)), min_size=1, max_size=2,
+                    unique=True),
+       data=st.data())
+def test_a_negative_or_non_finite_generate_value_exits_two(capsys, values, bad, data):
+    for key in bad:
+        values[key] = str(data.draw(st.one_of(GEN_BAD[key], NON_FINITE)))
+    code, err, made_dir = _generate([f"{k} = {v}" for k, v in values.items()], capsys)
+    assert code == 2, values
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert any(key in err for key in bad), err
+    assert not made_dir
 
 
 # -- checkpoint header ----------------------------------------------------

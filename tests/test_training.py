@@ -11,7 +11,7 @@ from difex.autodiff import AdamW, NonFiniteError, Tensor, softmax_cross_entropy
 from difex.data import BenchConfig, generate
 from difex.fourier import fft, phase
 from difex.losses import DomainBatch, LossWeights, total_objective
-from difex.model import StudentModel
+from difex.model import StudentModel, TeacherModel
 from difex.training import (
     MODES,
     TrainConfig,
@@ -173,12 +173,9 @@ def test_virtual_domains_partition_the_source():
 # -- the zero-weight path is a bare classifier loop -----------------------
 
 
-def standalone_erm(sources, cfg):
-    """Plain pooled training loop written without the pipeline helpers.
-
-    Mirrors only the documented conventions: the per-domain split stream,
-    the init stream, the per-epoch batch stream, and best-val selection.
-    """
+def standalone_split(sources, cfg):
+    """(X, y) training and validation parts of every source, drawn from
+    the per-domain split stream 31, class by class."""
     frac = 1.0 - cfg.val_fraction
     tr_parts, va_parts = [], []
     for ds in sources:
@@ -194,6 +191,16 @@ def standalone_erm(sources, cfg):
         va_idx = np.sort(np.array(va_idx, dtype=np.intp))
         tr_parts.append((ds.X[tr_idx], ds.y[tr_idx]))
         va_parts.append((ds.X[va_idx], ds.y[va_idx]))
+    return tr_parts, va_parts
+
+
+def standalone_erm(sources, cfg):
+    """Plain pooled training loop written without the pipeline helpers.
+
+    Mirrors only the documented conventions: the per-domain split stream,
+    the init stream, the per-epoch batch stream, and best-val selection.
+    """
+    tr_parts, va_parts = standalone_split(sources, cfg)
     Xtr = np.concatenate([x.reshape(len(x), -1) for x, _ in tr_parts])
     ytr = np.concatenate([y for _, y in tr_parts])
     Xva = np.concatenate([x.reshape(len(x), -1) for x, _ in va_parts])
@@ -235,6 +242,53 @@ def test_erm_mode_matches_standalone_loop_bitwise():
         assert np.array_equal(p.data, q.data)
     assert result.selected_epoch == twin_epoch
     assert result.val_accuracy == twin_acc
+
+
+def standalone_teacher(sources, cfg):
+    """The phase teacher's loop written without the pipeline helpers.
+
+    Mirrors only the documented conventions: the split of
+    ``standalone_split``, per-sample phase features, init stream 41, a
+    fresh permutation per epoch from stream 42 cut into batches with a
+    short tail batch, and the first best validation epoch restored.
+    """
+    tr_parts, va_parts = standalone_split(sources, cfg)
+    Xtr = np.concatenate([phase_rows_per_sample(x) for x, _ in tr_parts])
+    ytr = np.concatenate([y for _, y in tr_parts])
+    Xva = np.concatenate([phase_rows_per_sample(x) for x, _ in va_parts])
+    yva = np.concatenate([y for _, y in va_parts])
+    classes = int(max(ytr.max(), yva.max())) + 1
+    model = TeacherModel(
+        Xtr.shape[1], cfg.hidden, cfg.feature_dim // 2, classes, pcg(cfg.seed, 41)
+    )
+    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    best = (-1.0, None)
+    for epoch in range(cfg.epochs):
+        order = pcg(cfg.seed, 42, epoch).permutation(len(Xtr))
+        for start in range(0, len(Xtr), cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            _, logits = model.forward(Tensor(Xtr[rows]))
+            loss = softmax_cross_entropy(logits, ytr[rows])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        acc = float(np.mean(np.argmax(model.forward_np(Xva)[1], axis=1) == yva))
+        if acc > best[0]:
+            best = (acc, [p.data.copy() for p in model.params()])
+    for p, snap in zip(model.params(), best[1]):
+        p.data = snap
+    return model
+
+
+def test_teacher_matches_standalone_loop_bitwise():
+    sources = tiny_domains()
+    # 96 pooled training rows in batches of 10 leave a tail batch of 6, and
+    # validation first peaks at epoch 2 of 5, so the restore matters
+    cfg = tiny_cfg(epochs=5, batch_size=10)
+    teacher = train_teacher(sources, cfg)
+    twin = standalone_teacher(sources, cfg)
+    for p, q in zip(teacher.params(), twin.params()):
+        assert np.array_equal(p.data, q.data)
 
 
 def test_inf_planted_in_a_weight_stops_training():
