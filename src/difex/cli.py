@@ -22,7 +22,6 @@ from . import __version__
 from .autodiff import NonFiniteError
 from .data import BenchConfig, DataError, generate, load_dir, save_csv
 from .fourier import row_views
-from .losses import LossWeights
 from .model import load_checkpoint, save_checkpoint
 from .training import MODES, TrainConfig, evaluate, run_arms, run_leave_one_out
 
@@ -99,32 +98,18 @@ def _bench_config(config_path):
     return BenchConfig(noise_sigma=vals.pop("noise"), **vals)
 
 
+# TrainConfig's fields, except mode and seed (flags), each with its cast
 TRAIN_KEYS = {
     "epochs": int, "batch_size": int, "lr": float, "weight_decay": float,
     "lambda1": float, "lambda2": float, "lambda3": float,
-    "exploration": str, "val_fraction": float, "virtual_domains": int,
-    "hidden": int, "feature_dim": int,
+    "exploration": lambda s: s.replace("-", "_"), "val_fraction": float,
+    "virtual_domains": int, "hidden": int, "feature_dim": int,
 }
 
 
 def _train_config(config_path, mode, seed):
     vals = _read_config(config_path, TRAIN_KEYS, required=False) if config_path else {}
-    weights = LossWeights(
-        vals.pop("lambda1", 1.0), vals.pop("lambda2", 1.0),
-        vals.pop("lambda3", 0.1), vals.pop("exploration", "l2").replace("-", "_"),
-    )
-    return TrainConfig(weights=weights, seed=seed, mode=mode, **vals)
-
-
-def _config_snapshot(cfg: TrainConfig):
-    return {
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay, "lambda1": cfg.weights.lambda1,
-        "lambda2": cfg.weights.lambda2, "lambda3": cfg.weights.lambda3,
-        "exploration": cfg.weights.variant, "val_fraction": cfg.val_fraction,
-        "virtual_domains": cfg.virtual_domains, "mode": cfg.mode,
-        "seed": cfg.seed, "hidden": cfg.hidden, "feature_dim": cfg.feature_dim,
-    }
+    return TrainConfig(seed=seed, mode=mode, **vals)
 
 
 def _build_id():
@@ -206,7 +191,7 @@ def cmd_train(args):
         "command": "train",
         "data": os.path.abspath(args.data),
         "target": args.target,
-        "config": _config_snapshot(cfg),
+        "config": dataclasses.asdict(cfg),
         "selected_epoch": result.selected_epoch,
         "val_accuracy": result.val_accuracy,
         "target_accuracy": result.target_accuracy,
@@ -300,7 +285,7 @@ def cmd_ablate(args):
         "seeds": seeds,
         "arms": list(ABLATION_ARMS),
         "targets": targets,
-        "config": _config_snapshot(cfg),
+        "config": dataclasses.asdict(cfg),
         "runs": rows,
     })
     print(table, end="")

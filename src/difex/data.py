@@ -479,11 +479,17 @@ def generate(cfg: BenchConfig):
                     spec, int(cfg.stable_words[c]), cfg.stable_bins,
                     cfg.stable_levels, rng,
                 )
-            eps = _spectral_noise(
-                rng, (cfg.per_class, cfg.channels), n, cfg.noise_sigma[d]
-            )
-            full = (spec + eps) * env[None, None, :]
-            X[row : row + cfg.per_class] = (full @ basis_t).real / n
+            sigma = cfg.noise_sigma[d]
+            try:
+                # a huge sigma overflows here: one error, not numpy's warnings
+                with np.errstate(over="raise", invalid="raise"):
+                    eps = _spectral_noise(rng, (cfg.per_class, cfg.channels), n, sigma)
+                    full = (spec + eps) * env[None, None, :]
+                    X[row : row + cfg.per_class] = (full @ basis_t).real / n
+            except FloatingPointError:
+                raise DataError(
+                    f"samples overflow float64 at noise_sigma = {sigma:g}"
+                ) from None
             y[row : row + cfg.per_class] = c
             row += cfg.per_class
         out.append(DomainDataset(domain=d, X=X, y=y))

@@ -14,7 +14,7 @@ randomness as a bare classifier loop and reproduces it bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,10 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     weight_decay: float = 5e-4
-    weights: LossWeights = field(default_factory=LossWeights)
+    lambda1: float = 1.0  # distillation
+    lambda2: float = 1.0  # alignment
+    lambda3: float = 0.1  # exploration
+    exploration: str = "l2"  # exploration distance, a losses.VARIANTS entry
     seed: int = 0
     val_fraction: float = 0.2
     virtual_domains: int | None = None
@@ -66,6 +69,8 @@ class TrainConfig:
     feature_dim: int = 48  # student width d; each head gets d/2
 
     def __post_init__(self):
+        # the objective's four fields, checked in every mode by LossWeights
+        LossWeights(self.lambda1, self.lambda2, self.lambda3, self.exploration)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -100,8 +105,7 @@ class RunResult:
 
 def effective_weights(cfg: TrainConfig) -> LossWeights:
     """Config weights with the ablated terms forced to zero."""
-    w = cfg.weights
-    l1, l2, l3 = w.lambda1, w.lambda2, w.lambda3
+    l1, l2, l3 = cfg.lambda1, cfg.lambda2, cfg.lambda3
     if cfg.mode in ("erm", "phase-only"):
         l1 = l2 = l3 = 0.0
     elif cfg.mode == "no-intern":
@@ -110,7 +114,7 @@ def effective_weights(cfg: TrainConfig) -> LossWeights:
         l2 = 0.0
     elif cfg.mode == "no-exp":
         l3 = 0.0
-    return LossWeights(l1, l2, l3, w.variant)
+    return LossWeights(l1, l2, l3, cfg.exploration)
 
 
 def flatten_features(X: np.ndarray, input_kind: str) -> np.ndarray:
@@ -161,7 +165,7 @@ def batch_index_stream(domain_rows, batch_size, rng):
     quota = batch_size // m
     if quota < 2:
         raise ValueError(
-            f"batch size {batch_size} cannot give {m} domains >= 2 rows each"
+            f"batch_size {batch_size} cannot give {m} domains >= 2 rows each"
         )
     perms = [rng.permutation(rows) for rows in domain_rows]
     steps = min(len(p) for p in perms) // quota
@@ -195,6 +199,8 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
 def _split_pool(sources, cfg, input_kind):
     """Split every source, pool each side as ``input_kind`` features and
     count the classes: (train parts, (X, y, rows per part), (X, y), classes)."""
+    if not sources:
+        raise ValueError("no source domains")
     pairs = [
         train_val_split(ds, 1.0 - cfg.val_fraction, cfg.seed) for ds in sources
     ]
@@ -247,8 +253,6 @@ def _fit(model, steps, val, cfg):
 def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
     """Stage one: fit a classifier on pooled phase features of the sources;
     return the epoch snapshot with the best validation accuracy."""
-    if not sources:
-        raise ValueError("no source domains")
     _, (Xtr, ytr, _), val, classes = _split_pool(sources, cfg, "phase")
     teacher = TeacherModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim // 2, classes,
@@ -279,24 +283,14 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     computed once up front. Ablated terms are skipped, not zero-weighted,
     so their graphs never exist.
     """
-    if not sources:
-        raise ValueError("no source domains")
     w = effective_weights(cfg)
     if w.lambda1 > 0 and teacher is None:
         raise ValueError("distillation is active but no trained teacher was given")
     eff_sources = sources
     if len(sources) == 1 and cfg.virtual_domains:
         eff_sources = assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
-    m_domains = len(eff_sources)
-    if w.lambda2 > 0:
-        if m_domains < 2:
-            raise ValueError(
-                "alignment needs >= 2 source domains (or virtual_domains set)"
-            )
-        if cfg.batch_size < 2 * m_domains:
-            raise ValueError(
-                f"batch_size {cfg.batch_size} < 2 x {m_domains} domains"
-            )
+    if w.lambda2 > 0 and len(eff_sources) < 2:
+        raise ValueError("alignment needs >= 2 source domains (or virtual_domains set)")
     input_kind = "phase" if cfg.mode == "phase-only" else "raw"
     train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(
         eff_sources, cfg, input_kind

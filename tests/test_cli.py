@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, reproducibility."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import shutil
@@ -16,6 +17,7 @@ from difex.cli import main
 from difex.data import BenchConfig, DomainDataset, generate, load_dir, save_csv
 from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
 from difex.model import StudentModel, TeacherModel, load_checkpoint, save_checkpoint
+from difex.training import TrainConfig
 
 GEN_CFG = """\
 domains = 3
@@ -115,10 +117,12 @@ def test_a_huge_generate_size_exits_two_without_allocating(tmp_path, capsys, key
     assert peak < 1 << 20 and not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("line,message", [
     ("noise = nan", "noise_sigma must be one finite"),
     ("noise = inf", "noise_sigma must be one finite"),
     ("domains = -2", "need >=1 domain, got domains = -2"),
+    ("noise = 1e308", "noise_sigma"),
 ])
 def test_a_bad_generate_value_exits_two_without_a_directory(
         tmp_path, capsys, line, message):
@@ -160,6 +164,9 @@ def test_train_writes_checkpoints_metrics_manifest(workspace, tmp_path, capsys):
     assert manifest["config"]["mode"] == "full"
     assert manifest["config"]["epochs"] == 2
     assert manifest["config"]["feature_dim"] == 8
+    # the manifest holds the whole config of the run, and it reads back
+    assert TrainConfig(**manifest["config"]) == TrainConfig(
+        epochs=2, batch_size=12, hidden=16, feature_dim=8, seed=1, mode="full")
     assert 0.0 <= manifest["val_accuracy"] <= 1.0
     assert manifest["selected_epoch"] in (0, 1)
 
@@ -232,6 +239,11 @@ def test_out_of_range_train_config_exits_two(workspace, tmp_path, capsys, line):
     assert main(["train", workspace["data"], "--config", cfg,
                  "--target", "0", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("difex: error: ")
+
+
+def test_train_keys_are_the_config_fields_set_by_no_flag():
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set(difex.cli.TRAIN_KEYS) | {"mode", "seed"} == fields
 
 
 def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):

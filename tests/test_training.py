@@ -64,14 +64,19 @@ def test_config_validation():
     for k in (-1, 0, 1):
         with pytest.raises(ValueError, match="virtual_domains"):
             TrainConfig(virtual_domains=k)
+    # the objective's fields are checked in every mode, ablated or not
+    for mode in ("full", "erm"):
+        with pytest.raises(ValueError, match="lambda1"):
+            TrainConfig(lambda1=-1, mode=mode)
+        with pytest.raises(ValueError, match="lambda2"):
+            TrainConfig(lambda2=np.nan, mode=mode)
+        with pytest.raises(ValueError):
+            TrainConfig(exploration="l3", mode=mode)
 
 
 def test_effective_weights_per_mode():
-    w = LossWeights(0.5, 0.7, 0.9, "norm_l1")
-    got = {
-        mode: effective_weights(TrainConfig(weights=w, mode=mode))
-        for mode in MODES
-    }
+    w = dict(lambda1=0.5, lambda2=0.7, lambda3=0.9, exploration="norm_l1")
+    got = {mode: effective_weights(TrainConfig(**w, mode=mode)) for mode in MODES}
     assert (got["full"].lambda1, got["full"].lambda2, got["full"].lambda3) == (
         0.5, 0.7, 0.9,
     )
