@@ -44,7 +44,6 @@ __all__ = [
     "DomainDataset",
     "BenchConfig",
     "MAX_CELLS",
-    "check_size",
     "generate",
     "leave_one_out",
     "save_csv",
@@ -123,6 +122,12 @@ def _default_patterns(classes, length):
     return patterns
 
 
+# the envelopes' common gain, and each amplitude code's (off, on) levels
+_AMPLITUDE_SCALE = 8.0
+_DECOY_LEVELS = (0.25, 2.5)
+_STABLE_LEVELS = (0.55, 1.45)
+
+
 def _default_decoy_bins(length):
     # sit between the pattern bins, away from their mirrors, DC and Nyquist
     return _frac_bins(length, (0.09375, 0.1875, 0.34375))
@@ -160,7 +165,7 @@ def _default_decoy_maps(domains, classes, n_bins, seed):
     return maps
 
 
-def _default_envelopes(domains, length, amplitude_scale, seed, flat_bins=()):
+def _default_envelopes(domains, length, seed, flat_bins=()):
     # smooth part: gains spread geometrically, tilts linearly; rough part:
     # independent per-bin log-uniform gains, mirrored so the fold k -> n-k
     # leaves the envelope fixed and the real inverse transform keeps phases
@@ -168,7 +173,7 @@ def _default_envelopes(domains, length, amplitude_scale, seed, flat_bins=()):
     tilts = np.linspace(-0.95, 0.95, domains) if domains > 1 else np.array([0.0])
     k = np.arange(length)
     profile = np.cos(2.0 * np.pi * k / length)
-    env = amplitude_scale * gains[:, None] * (1.0 + tilts[:, None] * profile[None, :])
+    env = _AMPLITUDE_SCALE * gains[:, None] * (1.0 + tilts[:, None] * profile[None, :])
     rng = stream(seed, 14)
     half = length // 2
     jag = np.empty((domains, length))
@@ -180,8 +185,8 @@ def _default_envelopes(domains, length, amplitude_scale, seed, flat_bins=()):
     # the stable code's home bins get one common gain so nothing about the
     # domain shows through them; mirrors too, to keep the fold symmetry
     for b in flat_bins:
-        env[:, b] = amplitude_scale
-        env[:, length - b] = amplitude_scale
+        env[:, b] = _AMPLITUDE_SCALE
+        env[:, length - b] = _AMPLITUDE_SCALE
     return env
 
 
@@ -202,32 +207,21 @@ def _check_code_bins(bins, n, taken, what):
 MAX_CELLS = 2**26
 
 
-def check_size(domains, classes, per_class, channels, length):
-    """Reject a benchmark whose sample array would exceed MAX_CELLS cells,
-    before anything of that size is allocated."""
-    cells = math.prod(int(v) for v in (domains, classes, per_class, channels, length))
-    if cells > MAX_CELLS:
-        raise DataError(
-            f"{domains} domains x {classes} classes x {per_class} per class x "
-            f"{channels} channels x length {length} is {cells} sample values; "
-            f"the limit is {MAX_CELLS}"
-        )
-
-
 @dataclass
 class BenchConfig:
     """Everything that determines a generated benchmark.
 
-    patterns: per class, a list of (bin, phase offset) pairs; bins must sit
-    strictly inside the half-spectrum so each has a distinct mirror bin.
+    A caller sets the five sizes, the seed and, if wanted:
     envelopes: domains x length positive gains applied to the spectrum.
     noise_sigma: per-domain standard deviation of added spectral noise, or
     one value for every domain.
-    decoy_bins / decoy_levels / decoy_maps: the domain-keyed amplitude
-    shortcut (maps is domains x classes codewords). stable_bins /
-    stable_levels / stable_words: the domain-invariant amplitude code
-    (words is one codeword per class, shared by all domains). Either
-    code is disabled by passing [] for its bins.
+    decoy_bins / stable_bins: the bins of the domain-keyed amplitude
+    shortcut and of the domain-invariant amplitude code; [] disables one.
+
+    The rest follows from the sizes and the seed: ``patterns`` (per class,
+    (bin, phase offset) pairs), ``decoy_maps`` (domains x classes decoy
+    codewords) and ``stable_words`` (one codeword per class, shared by all
+    domains); a disabled code's codewords are None.
     """
 
     domains: int = 4
@@ -235,17 +229,14 @@ class BenchConfig:
     per_class: int = 100
     length: int = 32
     channels: int = 2
-    patterns: list = field(default=None)
-    envelopes: np.ndarray = field(default=None)
-    noise_sigma: np.ndarray = field(default=None)
+    envelopes: np.ndarray = None
+    noise_sigma: np.ndarray = None
     seed: int = 0
-    amplitude_scale: float = 8.0
-    decoy_bins: list = field(default=None)
-    decoy_levels: tuple = (0.25, 2.5)
-    decoy_maps: np.ndarray = field(default=None)
-    stable_bins: list = field(default=None)
-    stable_levels: tuple = (0.55, 1.45)
-    stable_words: np.ndarray = field(default=None)
+    decoy_bins: list = None
+    stable_bins: list = None
+    patterns: list = field(init=False)
+    decoy_maps: np.ndarray = field(init=False)
+    stable_words: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # every size is checked before anything is sized by it
@@ -261,25 +252,16 @@ class BenchConfig:
             raise DataError(f"length must be a power of two >= 4, got {n}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        check_size(self.domains, self.classes, self.per_class, self.channels, n)
-        if self.patterns is None:
-            self.patterns = _default_patterns(self.classes, n)
-        if len(self.patterns) != self.classes:
-            raise DataError("one pattern per class required")
-        seen = set()
-        pattern_bins = set()
-        for pat in self.patterns:
-            key = tuple(sorted((int(b), round(float(p), 12)) for b, p in pat))
-            if key in seen:
-                raise DataError("class phase patterns must be pairwise distinct")
-            seen.add(key)
-            bins = [b for b, _ in pat]
-            if len(set(bins)) != len(bins):
-                raise DataError("duplicate bin within a class pattern")
-            for b in bins:
-                if not 1 <= b < n // 2:
-                    raise DataError(f"pattern bin {b} outside (0, {n // 2})")
-                pattern_bins.add(int(b))
+        sizes = (self.domains, self.classes, self.per_class, self.channels, n)
+        cells = math.prod(int(v) for v in sizes)
+        if cells > MAX_CELLS:
+            raise DataError(
+                f"{self.domains} domains x {self.classes} classes x "
+                f"{self.per_class} per class x {self.channels} channels x "
+                f"length {n} is {cells} sample values; the limit is {MAX_CELLS}"
+            )
+        self.patterns = _default_patterns(self.classes, n)
+        pattern_bins = {b for pat in self.patterns for b, _ in pat}
         min_bits = max(1, int(np.ceil(np.log2(self.classes + 2))))
         if self.decoy_bins is None:
             free = [b for b in _default_decoy_bins(n) if b not in pattern_bins]
@@ -290,33 +272,17 @@ class BenchConfig:
             free = [b for b in _default_stable_bins(n) if b not in taken]
             self.stable_bins = free if len(free) >= min_bits else []
         self.stable_bins = _check_code_bins(self.stable_bins, n, taken, "stable")
+        self.decoy_maps = self.stable_words = None
         if self.decoy_bins:
-            self._check_levels(self.decoy_levels, "decoy_levels")
-            if self.decoy_maps is None:
-                self.decoy_maps = _default_decoy_maps(
-                    self.domains, self.classes, len(self.decoy_bins), self.seed
-                )
-            self.decoy_maps = np.asarray(self.decoy_maps, dtype=np.intp)
-            if self.decoy_maps.shape != (self.domains, self.classes):
-                raise DataError(
-                    f"decoy_maps must be {self.domains} x {self.classes} codewords"
-                )
-            self._check_words(self.decoy_maps, len(self.decoy_bins), "decoy")
+            self.decoy_maps = _default_decoy_maps(
+                self.domains, self.classes, len(self.decoy_bins), self.seed
+            )
         if self.stable_bins:
-            self._check_levels(self.stable_levels, "stable_levels")
-            if self.stable_words is None:
-                _codeword_check(self.classes, len(self.stable_bins), "stable")
-                self.stable_words = np.arange(1, self.classes + 1)
-            self.stable_words = np.asarray(self.stable_words, dtype=np.intp)
-            if self.stable_words.shape != (self.classes,):
-                raise DataError(f"stable_words must list {self.classes} codewords")
-            if len(set(self.stable_words.tolist())) != self.classes:
-                raise DataError("stable_words must be pairwise distinct")
-            self._check_words(self.stable_words, len(self.stable_bins), "stable")
+            _codeword_check(self.classes, len(self.stable_bins), "stable")
+            self.stable_words = np.arange(1, self.classes + 1, dtype=np.intp)
         if self.envelopes is None:
             self.envelopes = _default_envelopes(
-                self.domains, n, self.amplitude_scale, self.seed,
-                flat_bins=self.stable_bins,
+                self.domains, n, self.seed, flat_bins=self.stable_bins
             )
         if self.noise_sigma is None:
             self.noise_sigma = 0.1
@@ -335,19 +301,6 @@ class BenchConfig:
             raise DataError(
                 "noise_sigma must be one finite, non-negative value per domain"
             )
-
-    @staticmethod
-    def _check_levels(levels, name):
-        lo, hi = levels
-        if not 0 <= lo < hi:
-            raise DataError(f"{name} must satisfy 0 <= low < high")
-
-    @staticmethod
-    def _check_words(words, n_bins, what):
-        top = 2**n_bins
-        arr = np.asarray(words)
-        if np.any(arr < 0) or np.any(arr >= top):
-            raise DataError(f"{what} codewords must lie in [0, {top})")
 
     @property
     def samples_per_domain(self):
@@ -472,12 +425,12 @@ def generate(cfg: BenchConfig):
             if cfg.decoy_bins:
                 _amp_code_spectra(
                     spec, int(cfg.decoy_maps[d, c]), cfg.decoy_bins,
-                    cfg.decoy_levels, rng,
+                    _DECOY_LEVELS, rng,
                 )
             if cfg.stable_bins:
                 _amp_code_spectra(
                     spec, int(cfg.stable_words[c]), cfg.stable_bins,
-                    cfg.stable_levels, rng,
+                    _STABLE_LEVELS, rng,
                 )
             sigma = cfg.noise_sigma[d]
             try:

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import AdamW, Tensor, softmax_cross_entropy
 from .data import DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
-from .losses import DomainBatch, LossWeights, total_objective
+from .losses import VARIANTS, DomainBatch, LossWeights, total_objective
 from .model import StudentModel, TeacherModel, predict
 
 __all__ = [
@@ -69,7 +69,12 @@ class TrainConfig:
     feature_dim: int = 48  # student width d; each head gets d/2
 
     def __post_init__(self):
-        # the objective's four fields, checked in every mode by LossWeights
+        # the objective's four fields, checked in every mode by LossWeights;
+        # the distance first, so that its error names the config key
+        if self.exploration not in VARIANTS:
+            raise ValueError(
+                f"exploration must be one of {VARIANTS}, got {self.exploration!r}"
+            )
         LossWeights(self.lambda1, self.lambda2, self.lambda3, self.exploration)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -154,6 +159,16 @@ def train_val_split(ds: DomainDataset, fraction=0.8, seed=0):
     )
 
 
+def _domain_quota(batch_size, m):
+    """Rows per domain in a domain-balanced batch over ``m`` domains."""
+    quota = batch_size // m
+    if quota < 2:
+        raise ValueError(
+            f"batch_size {batch_size} cannot give {m} domains >= 2 rows each"
+        )
+    return quota
+
+
 def batch_index_stream(domain_rows, batch_size, rng):
     """One epoch of domain-balanced batches over pooled row indices.
 
@@ -161,12 +176,7 @@ def batch_index_stream(domain_rows, batch_size, rng):
     without replacement, domains freshly shuffled. Trailing rows that
     do not fill a whole quota are dropped for the epoch.
     """
-    m = len(domain_rows)
-    quota = batch_size // m
-    if quota < 2:
-        raise ValueError(
-            f"batch_size {batch_size} cannot give {m} domains >= 2 rows each"
-        )
+    quota = _domain_quota(batch_size, len(domain_rows))
     perms = [rng.permutation(rows) for rows in domain_rows]
     steps = min(len(p) for p in perms) // quota
     if steps == 0:
@@ -194,6 +204,14 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
         rows = np.flatnonzero(labels == j)
         out.append(DomainDataset(j, ds.X[rows], ds.y[rows]))
     return out
+
+
+def _student_domains(sources, cfg):
+    """The domains the student balances its batches over: the sources, or
+    with one source and ``virtual_domains`` set, its pseudo-domains."""
+    if len(sources) == 1 and cfg.virtual_domains:
+        return assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
+    return sources
 
 
 def _split_pool(sources, cfg, input_kind):
@@ -286,9 +304,7 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     w = effective_weights(cfg)
     if w.lambda1 > 0 and teacher is None:
         raise ValueError("distillation is active but no trained teacher was given")
-    eff_sources = sources
-    if len(sources) == 1 and cfg.virtual_domains:
-        eff_sources = assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
+    eff_sources = _student_domains(sources, cfg)
     if w.lambda2 > 0 and len(eff_sources) < 2:
         raise ValueError("alignment needs >= 2 source domains (or virtual_domains set)")
     input_kind = "phase" if cfg.mode == "phase-only" else "raw"
@@ -332,9 +348,11 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
 
     The teacher depends on everything in the config except the mode, so
     it is trained once, for the first mode that distills, and every
-    distilling mode learns from that one teacher.
+    distilling mode learns from that one teacher. A batch size too small
+    for the student's domains fails before any teacher is trained.
     """
     sources, target_ds = leave_one_out(domains, target)
+    _domain_quota(cfg.batch_size, len(_student_domains(sources, cfg)))
     teacher = None
     results = []
     for mode in modes:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import difex.cli
+import difex.training
 from difex.cli import main
 from difex.data import BenchConfig, DomainDataset, generate, load_dir, save_csv
 from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
@@ -82,6 +83,27 @@ def test_generate_is_byte_reproducible(workspace, tmp_path):
         a = open(os.path.join(workspace["data"], f"domain_{d}.csv"), "rb").read()
         b = open(os.path.join(other, f"domain_{d}.csv"), "rb").read()
         assert a == b
+
+
+def test_generate_keys_and_code_settings_are_the_bench_fields():
+    keys = {"noise_sigma" if k == "noise" else k for k in difex.cli.GENERATE_KEYS}
+    fields = {f.name for f in dataclasses.fields(BenchConfig) if f.init}
+    assert keys | {"envelopes", "decoy_bins", "stable_bins"} == fields
+
+
+def test_a_generate_manifest_rebuilds_its_data(workspace):
+    with open(os.path.join(workspace["data"], "manifest.json")) as fh:
+        manifest = json.load(fh)
+    keys = ("domains", "classes", "per_class", "length", "channels", "seed",
+            "noise_sigma")
+    cfg = BenchConfig(**{k: manifest[k] for k in keys})
+    assert [[[b, p] for b, p in pat] for pat in cfg.patterns] == manifest["patterns"]
+    assert np.array_equal(cfg.envelopes, manifest["envelopes"])
+    loaded = load_dir(workspace["data"])
+    rebuilt = generate(cfg)
+    assert [ds.domain for ds in loaded] == [ds.domain for ds in rebuilt]
+    for a, b in zip(loaded, rebuilt):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
 def test_generate_config_errors(workspace, tmp_path, capsys):
@@ -233,17 +255,35 @@ def test_numerical_blowup_exits_three(workspace, tmp_path):
 @pytest.mark.parametrize("line", [
     "hidden = 0", "lr = nan", "lr = inf", "lr = -0.001", "weight_decay = -1",
     "virtual_domains = 0", "virtual_domains = 1", "virtual_domains = -1",
+    "exploration = l3",
 ])
 def test_out_of_range_train_config_exits_two(workspace, tmp_path, capsys, line):
     cfg = write(tmp_path / "t.cfg", TRAIN_CFG + line + "\n")
     assert main(["train", workspace["data"], "--config", cfg,
                  "--target", "0", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("difex: error: ")
+    err = capsys.readouterr().err
+    # the message names the config key
+    assert err.startswith("difex: error: ") and line.split(" = ")[0] in err
 
 
 def test_train_keys_are_the_config_fields_set_by_no_flag():
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     assert set(difex.cli.TRAIN_KEYS) | {"mode", "seed"} == fields
+
+
+def test_a_batch_too_small_for_the_student_exits_two_before_any_teacher(
+    workspace, tmp_path, capsys, monkeypatch,
+):
+    def refuse(sources, cfg):
+        raise AssertionError("a teacher was trained")
+
+    monkeypatch.setattr(difex.training, "train_teacher", refuse)
+    # target 0 leaves two sources; a batch of 3 gives each one row
+    text = TRAIN_CFG.replace("batch_size = 12", "batch_size = 3")
+    cfg = write(tmp_path / "t.cfg", text)
+    assert main(["train", workspace["data"], "--config", cfg,
+                 "--target", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "batch_size 3 cannot give 2 domains" in capsys.readouterr().err
 
 
 def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):

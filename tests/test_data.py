@@ -146,19 +146,6 @@ def test_config_rejects_basic_misuse():
         BenchConfig(seed=-1)
 
 
-def test_config_rejects_duplicate_patterns():
-    pats = [[(1, 0.0), (2, 0.5)]] * 2
-    with pytest.raises(DataError, match="distinct"):
-        BenchConfig(classes=2, patterns=pats, length=16)
-
-
-def test_config_rejects_out_of_range_pattern_bins():
-    with pytest.raises(DataError, match="outside"):
-        BenchConfig(classes=2, length=16, patterns=[[(8, 0.0)], [(1, 0.0)]])
-    with pytest.raises(DataError, match="outside"):
-        BenchConfig(classes=2, length=16, patterns=[[(0, 0.0)], [(1, 0.0)]])
-
-
 def test_config_rejects_bad_envelopes_and_noise():
     with pytest.raises(DataError, match="envelopes"):
         small_cfg(envelopes=np.ones((2, 32)))
@@ -184,19 +171,32 @@ def test_config_rejects_bad_code_layout():
         small_cfg(decoy_bins=[3, 3, 6])
     with pytest.raises(DataError, match="outside"):
         small_cfg(stable_bins=[16])
+    # two bins give 2 usable codewords, too few for 4 classes
+    with pytest.raises(DataError, match="need more than"):
+        small_cfg(decoy_bins=[3, 6])
+    with pytest.raises(DataError, match="need more than"):
+        small_cfg(stable_bins=[4, 7])
 
 
-def test_config_rejects_bad_codewords():
-    with pytest.raises(DataError, match="decoy_maps"):
-        small_cfg(decoy_maps=np.zeros((2, 4), dtype=int))
-    with pytest.raises(DataError, match=r"\[0"):
-        small_cfg(decoy_bins=[3, 6], decoy_maps=np.full((3, 4), 4))
-    with pytest.raises(DataError, match="distinct"):
-        small_cfg(stable_words=np.array([1, 1, 2, 3]))
-    with pytest.raises(DataError, match="stable_words"):
-        small_cfg(stable_words=np.array([1, 2, 3]))
-    with pytest.raises(DataError, match="low < high"):
-        small_cfg(decoy_levels=(2.5, 0.25))
+@pytest.mark.parametrize("classes", [2, 3, 6, 14])
+@pytest.mark.parametrize("length", [4, 8, 16, 32, 64, 128])
+def test_derived_patterns_and_codes_are_well_formed(classes, length):
+    cfg = BenchConfig(domains=3, classes=classes, per_class=1, length=length)
+    keys = [tuple(pat) for pat in cfg.patterns]
+    assert len(keys) == classes and len(set(keys)) == classes
+    pattern_bins = {b for pat in cfg.patterns for b, _ in pat}
+    assert all(1 <= b < length // 2 for b in pattern_bins)
+    if cfg.decoy_bins:
+        assert cfg.decoy_maps.shape == (3, classes)
+        for row in cfg.decoy_maps:
+            assert sorted(row.tolist()) == list(range(1, classes + 1))
+        assert cfg.decoy_maps.max() < 2 ** len(cfg.decoy_bins)
+    if cfg.stable_bins:
+        assert sorted(cfg.stable_words.tolist()) == list(range(1, classes + 1))
+        assert cfg.stable_words.max() < 2 ** len(cfg.stable_bins)
+    decoy, stable = set(cfg.decoy_bins), set(cfg.stable_bins)
+    assert len(decoy) == len(cfg.decoy_bins) and len(stable) == len(cfg.stable_bins)
+    assert not (decoy & pattern_bins) and not (stable & (pattern_bins | decoy))
 
 
 def test_short_signals_drop_the_codes_gracefully():

@@ -70,7 +70,7 @@ def test_config_validation():
             TrainConfig(lambda1=-1, mode=mode)
         with pytest.raises(ValueError, match="lambda2"):
             TrainConfig(lambda2=np.nan, mode=mode)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exploration"):
             TrainConfig(exploration="l3", mode=mode)
 
 
@@ -453,6 +453,21 @@ def test_run_arms_equals_one_run_per_arm(monkeypatch):
         assert got.target_accuracy == want.target_accuracy
         assert got.val_accuracy == want.val_accuracy
         assert got.selected_epoch == want.selected_epoch
+
+
+def test_run_arms_checks_the_batch_quota_before_any_teacher(monkeypatch):
+    def refuse(sources, cfg):
+        raise AssertionError("a teacher was trained")
+
+    monkeypatch.setattr(difex.training, "train_teacher", refuse)
+    domains = tiny_domains()
+    # two sources get 1 row each of a batch of 3
+    with pytest.raises(ValueError, match="cannot give 2 domains"):
+        run_arms(domains, 0, tiny_cfg(batch_size=3), ("full",))
+    # one source split into 3 pseudo-domains gets 1 row each of a batch of 5
+    cfg = tiny_cfg(batch_size=5, virtual_domains=3)
+    with pytest.raises(ValueError, match="cannot give 3 domains"):
+        run_arms(domains[:2], 0, cfg, ("full",))
 
 
 # -- phase features -------------------------------------------------------
