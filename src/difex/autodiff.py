@@ -14,6 +14,14 @@ without a pass of the cyclic garbage collector.
 Everything is 64-bit and single-threaded; tensors are treated as immutable
 once created (the optimizer is the only mutator, between graphs).
 
+The layer ops (``dense``, ``relu``, ``squash_rows``, ``concat_cols``,
+``softmax_cross_entropy``) take an optional leading arm axis: A models of
+one shape trained in lockstep hold their weights as (A, ...) stacks and
+their activations as (A, rows, width). Every arm's slice of a result and
+of a gradient has the bits the same op gives on that arm's 2-D operands,
+because each op runs the same BLAS call, elementwise formula or
+last-axis reduction per slice.
+
 Finiteness is checked at the edges of a step, not at every node: a
 ``Tensor`` built from outside data rejects NaN/Inf, ``backward`` rejects a
 non-finite loss before it runs, and ``AdamW.step`` rejects a non-finite
@@ -32,11 +40,9 @@ __all__ = [
     "concat_cols",
     "dense",
     "matmul",
-    "rowwise_div",
     "softmax_cross_entropy",
     "squash_rows",
     "sum_all",
-    "sum_rows",
     "backward",
     "AdamW",
     "finite_difference_grad",
@@ -259,17 +265,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` as one node; same bits as ``matmul``
-    followed by a separate bias-add node."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.data.shape[1] != w.data.shape[0]
-            or w.data.shape[1] != b.data.shape[0]):
-        raise ValueError(f"dense: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out = Tensor._op(x.data @ w.data + b.data, (x, w, b))
+    followed by a separate bias-add node.
+
+    With an arm axis, x is (A, B, in), w (A, in, out) and b (A, out)."""
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if (x.data.ndim not in (2, 3) or w.data.ndim != x.data.ndim
+            or b.data.ndim != w.data.ndim - 1 or xs[:-2] != ws[:-2]
+            or bs[:-1] != ws[:-2] or xs[-1] != ws[-2] or ws[-1] != bs[-1]):
+        raise ValueError(f"dense: {xs} @ {ws} + {bs}")
+    out = Tensor._op(x.data @ w.data + b.data[..., None, :], (x, w, b))
 
     def backprop(g):
-        b.grad += g.sum(axis=0)
-        x.grad += g @ w.data.T
-        w.grad += x.data.T @ g
+        b.grad += g.sum(axis=-2)
+        x.grad += g @ w.data.swapaxes(-1, -2)
+        w.grad += x.data.swapaxes(-1, -2) @ g
 
     out._backprop = backprop
     return out
@@ -285,33 +294,6 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Row sums of a B-by-d matrix, as a length-B vector."""
-    if x.data.ndim != 2:
-        raise ValueError("sum_rows expects a matrix")
-    out = Tensor._op(x.data.sum(axis=1), (x,))
-
-    def backprop(g):
-        x.grad += g[:, None]
-
-    out._backprop = backprop
-    return out
-
-
-def rowwise_div(x: Tensor, s: Tensor) -> Tensor:
-    """Divide row b of x by scalar s[b]."""
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.data.shape[0] != s.data.shape[0]:
-        raise ValueError(f"rowwise_div: {x.data.shape} / {s.data.shape}")
-    out = Tensor._op(x.data / s.data[:, None], (x, s))
-
-    def backprop(g):
-        x.grad += g / s.data[:, None]
-        s.grad -= (g * x.data).sum(axis=1) / (s.data * s.data)
-
-    out._backprop = backprop
-    return out
-
-
 def squash_rows(x: Tensor, radius: float = 1.0) -> Tensor:
     """Scale each row of x by 1/(1 + |row|/radius).
 
@@ -322,59 +304,64 @@ def squash_rows(x: Tensor, radius: float = 1.0) -> Tensor:
     maximized divergence term, where a saturating elementwise squash
     would leave dead, unrecoverable coordinates.
     """
-    if x.data.ndim != 2:
-        raise ValueError("squash_rows expects a matrix")
+    if x.data.ndim not in (2, 3):
+        raise ValueError("squash_rows expects a matrix or a stack of them")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    r = np.sqrt((x.data * x.data).sum(axis=1) + 1e-300)
+    r = np.sqrt((x.data * x.data).sum(axis=-1) + 1e-300)
     g = 1.0 / (1.0 + r / radius)
-    out = Tensor._op(x.data * g[:, None], (x,))
+    out = Tensor._op(x.data * g[..., None], (x,))
 
     def backprop(g_out):
         # d/dx [g(r)·x] = g·I + (dg/dr)·x xᵀ/r, with dg/dr = −g²/radius
-        xu = (g_out * x.data).sum(axis=1)
+        xu = (g_out * x.data).sum(axis=-1)
         coef = xu * g * g / (radius * r)
-        x.grad += g_out * g[:, None] - x.data * coef[:, None]
+        x.grad += g_out * g[..., None] - x.data * coef[..., None]
 
     out._backprop = backprop
     return out
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two B-by-* matrices along columns."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
+    """Concatenate two B-by-* matrices (or two stacks of them) along columns."""
+    if (a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim
+            or a.data.shape[:-1] != b.data.shape[:-1]):
         raise ValueError(f"concat_cols: {a.data.shape} | {b.data.shape}")
-    p = a.data.shape[1]
-    out = Tensor._op(np.concatenate([a.data, b.data], axis=1), (a, b))
+    p = a.data.shape[-1]
+    out = Tensor._op(np.concatenate([a.data, b.data], axis=-1), (a, b))
 
     def backprop(g):
-        a.grad += g[:, :p]
-        b.grad += g[:, p:]
+        a.grad += g[..., :p]
+        b.grad += g[..., p:]
 
     out._backprop = backprop
     return out
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-softmax of the true class, max-shifted for stability."""
+    """Mean negative log-softmax of the true class, max-shifted for stability.
+
+    With an arm axis, logits are (A, B, C), every arm is scored on the
+    same B labels, and the result holds one mean per arm."""
     labels = np.asarray(labels, dtype=np.intp)
-    if logits.data.ndim != 2:
+    if logits.data.ndim not in (2, 3):
         raise ValueError("softmax_cross_entropy expects B-by-C logits")
-    n, c = logits.data.shape
+    n, c = logits.data.shape[-2:]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(n), labels]
-    out = Tensor._op(losses.mean(), (logits,))
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    losses = lse - shifted[..., rows, labels]
+    out = Tensor._op(losses.mean(axis=-1), (logits,))
 
     def backprop(g):
         p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(n), labels] -= 1.0
-        logits.grad += g * p / n
+        p /= p.sum(axis=-1, keepdims=True)
+        p[..., rows, labels] -= 1.0
+        logits.grad += g[..., None, None] * p / n
 
     out._backprop = backprop
     return out

@@ -6,6 +6,13 @@ The combined objective is
 
 where terms with a zero weight are skipped outright, so the degenerate
 setting builds exactly the same graph as a plain cross-entropy baseline.
+
+Arms trained in lockstep feed features with a leading arm axis, (A, B, w),
+and each term takes the ``arms`` that keep it: it reads and writes only
+those arms' rows, and returns one value per arm, 0 for the arms it skips.
+Each arm's value and gradient have the bits of the same term on that arm's
+2-D features, and a term adds into its features' gradient in the order
+its standalone graph does.
 """
 
 from __future__ import annotations
@@ -14,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    softmax_cross_entropy,
-    sum_all,
-    sum_rows,
-    rowwise_div,
-)
+from .autodiff import Tensor, softmax_cross_entropy
 
 __all__ = [
     "LossWeights",
@@ -70,30 +71,64 @@ class DomainBatch:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.intp)
         self.domain_ids = np.asarray(self.domain_ids, dtype=np.intp)
-        b = self.features.data.shape[0]
+        b = self.features.data.shape[-2]  # rows, after an arm axis if any
         if self.labels.shape != (b,) or self.domain_ids.shape != (b,):
             raise ValueError("labels/domain_ids must match the batch dimension")
 
 
-def mse_distill(student_feat: Tensor, teacher_feat) -> Tensor:
+def _rows(t: Tensor, arms):
+    """The data of ``arms`` (all of ``t`` when None)."""
+    return t.data if arms is None else t.data[arms]
+
+
+def _add_grad(t: Tensor, arms, g):
+    if arms is None:
+        t.grad += g
+    else:
+        t.grad[arms] += g
+
+
+def _per_arm_sum(a):
+    """Sum of each arm's matrix: the pairwise sum that ``a.sum()`` runs on
+    one contiguous matrix, once per arm."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _term(value, parents, arms):
+    """A term's output node: ``value`` per arm of ``arms``, 0 elsewhere."""
+    if arms is not None:
+        full = np.zeros(parents[0].data.shape[0])
+        full[arms] = value
+        value = full
+    return Tensor._op(value, parents)
+
+
+def _arm_grad(g, arms):
+    """The output gradient of ``arms``, shaped to scale their matrices."""
+    return (g if arms is None else g[arms])[..., None, None]
+
+
+def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
     """Mean squared gap to the teacher's features; teacher is a constant.
 
     One graph node, with the bits of ``sum_all(diff * diff).scale(1/size)``.
+    With an arm axis every arm in ``arms`` is compared with the same
+    B-by-w teacher features.
     """
     target = teacher_feat.data if isinstance(teacher_feat, Tensor) else np.asarray(
         teacher_feat, dtype=np.float64
     )
-    if student_feat.data.shape != target.shape:
+    if student_feat.data.shape[-2:] != target.shape:
         raise ValueError(
             f"feature shapes differ: {student_feat.data.shape} vs {target.shape}"
         )
-    diff = student_feat.data - target
-    s = 1.0 / diff.size
-    out = Tensor._op((diff * diff).sum() * s, (student_feat,))
+    diff = _rows(student_feat, arms) - target
+    s = 1.0 / target.size
+    out = _term(_per_arm_sum(diff * diff) * s, (student_feat,), arms)
 
     def backprop(g):
-        gd = g * s * diff
-        student_feat.grad += gd + gd
+        gd = _arm_grad(g, arms) * s * diff
+        _add_grad(student_feat, arms, gd + gd)
 
     out._backprop = backprop
     return out
@@ -110,7 +145,7 @@ def covariance(X: Tensor) -> Tensor:
     return (gram - (colsum.T @ colsum).scale(1.0 / n)).scale(1.0 / (n - 1))
 
 
-def coral_loss(batch: DomainBatch) -> Tensor:
+def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
     """Mean squared Frobenius distance between per-domain covariances,
     over unordered domain pairs.
 
@@ -121,6 +156,8 @@ def coral_loss(batch: DomainBatch) -> Tensor:
     value and gradient have the same bits as the unfused chain. In
     particular each covariance collects its pair gradients in forward pair
     order: from four domains on, any other order changes the rounding.
+    With an arm axis the arms in ``arms`` are stacked through the same
+    steps, one domain at a time, so domains of unequal size still work.
     """
     F = batch.features
     present = np.unique(batch.domain_ids)
@@ -132,48 +169,50 @@ def coral_loss(batch: DomainBatch) -> Tensor:
         n = rows.size
         if n < 2:
             raise ValueError(f"domain {d} has {n} sample(s); need >= 2")
-        X = F.data[rows]
-        XT = X.T.copy()
+        at = (Ellipsis, rows, slice(None)) if arms is None else (arms[:, None], rows)
+        X = F.data[at]
+        XT = X.swapaxes(-1, -2).copy()
         ones = np.ones((1, n))
         colsum = ones @ X
-        colsumT = colsum.T.copy()
+        colsumT = colsum.swapaxes(-1, -2).copy()
         covs.append((XT @ X - (colsumT @ colsum) * (1.0 / n)) * (1.0 / (n - 1)))
-        groups.append((rows, X, XT, ones, colsum, colsumT))
+        groups.append((at, X, XT, ones, colsum, colsumT))
     pairs = []
     total = None
     for i in range(len(covs)):
         for j in range(i + 1, len(covs)):
             diff = covs[i] - covs[j]
-            term = (diff * diff).sum()
+            term = _per_arm_sum(diff * diff)
             total = term if total is None else total + term
             pairs.append((i, j, diff))
     s = 1.0 / len(pairs)
-    out = Tensor._op(total * s, (F,))
+    out = _term(total * s, (F,), arms)
 
     def backprop(g):
-        g = g * s
+        g = _arm_grad(g, arms) * s
         cov_grads = [np.zeros_like(cov) for cov in covs]
         for i, j, diff in pairs:
             gd = g * diff
             gd = gd + gd
             cov_grads[i] += gd
             cov_grads[j] -= gd
-        for (rows, X, XT, ones, colsum, colsumT), gc in zip(groups, cov_grads):
-            n = rows.size
+        for (at, X, XT, ones, colsum, colsumT), gc in zip(groups, cov_grads):
+            n = ones.shape[1]
             g_gram = gc * (1.0 / (n - 1))
             g_outer = -g_gram * (1.0 / n)
-            g_XT = g_gram @ X.T
-            g_colsumT = g_outer @ colsum.T
-            g_colsum = colsumT.T @ g_outer + g_colsumT.T
+            g_XT = g_gram @ X.swapaxes(-1, -2)
+            g_colsumT = g_outer @ colsum.swapaxes(-1, -2)
+            g_colsum = colsumT.swapaxes(-1, -2) @ g_outer + g_colsumT.swapaxes(-1, -2)
             # the tape adds X's three gradients as gram, transpose, column sums
-            g_X = XT.T @ g_gram + g_XT.T + ones.T @ g_colsum
-            F.grad[rows] += g_X
+            g_X = (XT.swapaxes(-1, -2) @ g_gram + g_XT.swapaxes(-1, -2)
+                   + ones.T @ g_colsum)
+            F.grad[at] += g_X
 
     out._backprop = backprop
     return out
 
 
-def exploration_l2(z1: Tensor, z2: Tensor) -> Tensor:
+def exploration_l2(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     """Negative mean squared distance between paired rows (push apart).
 
     One graph node, with the bits of
@@ -181,65 +220,102 @@ def exploration_l2(z1: Tensor, z2: Tensor) -> Tensor:
     """
     if z1.data.shape != z2.data.shape:
         raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
-    diff = z1.data - z2.data
-    s = -1.0 / z1.data.shape[0]
-    out = Tensor._op((diff * diff).sum() * s, (z1, z2))
+    diff = _rows(z1, arms) - _rows(z2, arms)
+    s = -1.0 / z1.data.shape[-2]
+    out = _term(_per_arm_sum(diff * diff) * s, (z1, z2), arms)
 
     def backprop(g):
-        gd = g * s * diff
+        gd = _arm_grad(g, arms) * s * diff
         gd = gd + gd
-        z1.grad += gd
-        z2.grad -= gd
+        _add_grad(z1, arms, gd)
+        _add_grad(z2, arms, -gd)
 
     out._backprop = backprop
     return out
 
 
-def exploration_norm_l1(z1: Tensor, z2: Tensor) -> Tensor:
+def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     """Negative mean L1 distance between L2-normalized rows.
 
     Bounded in [−2·sqrt(d), 0], which keeps the term from dominating
     late in training the way the unbounded squared distance can.
+
+    One graph node with the bits of the op chain ``rowwise_div(z,
+    sum_rows(z * z).sqrt())`` for each head, then ``sum_all(diff.abs())
+    .scale(-1/rows)`` of their difference (the tests keep those ops as
+    its oracle). Its backward replays the
+    chain's gradient steps in tape order: each head takes its division's
+    gradient, then its product's two. A tape buffer starts at zero, so the
+    ``+ 0.0`` below keep the sign of zero that the chain's first ``+=``
+    gives.
     """
     if z1.data.shape != z2.data.shape:
         raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
-    normed = []
+    heads = []
     for z in (z1, z2):
-        norms = sum_rows(z * z).sqrt()
-        if np.any(norms.data <= 1e-12):
+        x = _rows(z, arms)
+        norms = np.sqrt((x * x).sum(axis=-1))
+        if np.any(norms <= 1e-12):
             raise ValueError("zero-norm row; cannot normalize")
-        normed.append(rowwise_div(z, norms))
-    diff = normed[0] - normed[1]
-    return sum_all(diff.abs()).scale(-1.0 / z1.data.shape[0])
+        heads.append((z, x, norms, x / norms[..., None]))
+    diff = heads[0][3] - heads[1][3]
+    s = -1.0 / z1.data.shape[-2]
+    out = _term(_per_arm_sum(np.abs(diff)) * s, (z1, z2), arms)
+
+    def backprop(g):
+        g_diff = (_arm_grad(g, arms) * s + 0.0) * np.sign(diff) + 0.0
+        for (z, x, norms, _), g_unit in zip(heads, (g_diff, 0.0 - g_diff)):
+            _add_grad(z, arms, g_unit / norms[..., None])
+            g_norms = 0.0 - (g_unit * x).sum(axis=-1) / (norms * norms)
+            g_square = (g_norms / (2.0 * norms) + 0.0)[..., None]
+            _add_grad(z, arms, g_square * x)
+            _add_grad(z, arms, g_square * x)
+
+    out._backprop = backprop
+    return out
 
 
-def total_objective(batch: DomainBatch, teacher_feat, outputs, w: LossWeights):
+def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     """Weighted sum of the active terms, plus their values for logging.
 
     ``outputs`` carries .logits, .z1 (distilled half), .z2 (aligned half).
-    Zero-weight terms are not evaluated at all, so their graph nodes never
-    exist. Returns (total: Tensor, parts: dict of floats).
+    ``w`` is a LossWeights; for outputs with a leading arm axis it is a
+    sequence of them, one per arm, and each term runs on the arms that
+    weight it above zero. Zero-weight terms are not evaluated at all, so
+    their graph nodes never exist.
+
+    Returns (total, parts). Without an arm axis, total is a scalar Tensor
+    and parts a dict of floats; with one, total holds one value per arm
+    and parts is a list of one such dict per arm.
     """
+    stacked = not isinstance(w, LossWeights)
+    ws = list(w) if stacked else [w]
     cls = softmax_cross_entropy(outputs.logits, batch.labels)
     total = cls
-    parts = {"cls": float(cls.data)}
-    if w.lambda1 > 0:
-        if teacher_feat is None:
-            raise ValueError("distillation weight set but no teacher features given")
-        mse = mse_distill(outputs.z1, teacher_feat)
-        parts["mse"] = float(mse.data)
-        total = total + mse.scale(w.lambda1)
-    if w.lambda2 > 0:
-        align = coral_loss(DomainBatch(outputs.z2, batch.labels, batch.domain_ids))
-        parts["align"] = float(align.data)
-        total = total + align.scale(w.lambda2)
-    if w.lambda3 > 0:
-        explore = (
-            exploration_l2(outputs.z1, outputs.z2)
-            if w.variant == "l2"
-            else exploration_norm_l1(outputs.z1, outputs.z2)
-        )
-        parts["exp"] = float(explore.data)
-        total = total + explore.scale(w.lambda3)
-    parts["total"] = float(total.data)
-    return total, parts
+    logged = [("cls", cls, range(len(ws)))]
+
+    def add(key, weight, build, variant=None):
+        nonlocal total
+        lam = np.array([getattr(x, weight) for x in ws])
+        on = [a for a, x in enumerate(ws) if lam[a] > 0 and variant in (None, x.variant)]
+        if not on:
+            return
+        term = build(None if len(on) == len(ws) else np.array(on))
+        logged.append((key, term, on))
+        total = total + term.scale(lam if stacked else float(lam[0]))
+
+    if teacher_feat is None and any(x.lambda1 > 0 for x in ws):
+        raise ValueError("distillation weight set but no teacher features given")
+    add("mse", "lambda1", lambda arms: mse_distill(outputs.z1, teacher_feat, arms))
+    add("align", "lambda2", lambda arms: coral_loss(
+        DomainBatch(outputs.z2, batch.labels, batch.domain_ids), arms))
+    add("exp", "lambda3", lambda arms: exploration_l2(outputs.z1, outputs.z2, arms), "l2")
+    add("exp", "lambda3",
+        lambda arms: exploration_norm_l1(outputs.z1, outputs.z2, arms), "norm_l1")
+    logged.append(("total", total, range(len(ws))))
+    parts = [{} for _ in ws]
+    for key, t, on in logged:
+        values = t.data.reshape(-1).tolist()
+        for a in on:
+            parts[a][key] = values[a]
+    return total, (parts if stacked else parts[0])

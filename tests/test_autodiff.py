@@ -15,15 +15,13 @@ from difex.autodiff import (
     dense,
     finite_difference_grad,
     matmul,
-    rowwise_div,
     softmax_cross_entropy,
     squash_rows,
     sum_all,
-    sum_rows,
 )
 from difex.losses import DomainBatch, LossWeights, total_objective
 from difex.model import StudentModel, TeacherModel
-from oracles import add_bias, take_rows
+from oracles import add_bias, rowwise_div, sum_rows, take_rows
 from test_bench_contract import load_tracer
 
 

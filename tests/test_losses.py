@@ -17,7 +17,7 @@ from difex.losses import (
     mse_distill,
     total_objective,
 )
-from oracles import take_rows
+from oracles import rowwise_div, sum_rows, take_rows
 
 
 def rel_err(got, want):
@@ -396,6 +396,34 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
             results.append((loss.data, a.grad, b.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
+
+
+def norm_l1_chain(z1, z2):
+    """exploration_norm_l1 as the op chain it was before it became one node."""
+    normed = [rowwise_div(z, sum_rows(z * z).sqrt()) for z in (z1, z2)]
+    diff = normed[0] - normed[1]
+    return sum_all(diff.abs()).scale(-1.0 / z1.data.shape[0])
+
+
+@pytest.mark.parametrize("first", ["term", "other"])
+def test_norm_l1_is_bit_identical_to_the_op_chain(first):
+    # each head also feeds another consumer, before or after the term, as
+    # the concat and distillation do in a step; rows 2 and 5 of the two
+    # heads point the same way, so their difference is exactly 0
+    rng = np.random.default_rng(29)
+    a0, b0, c = (rng.normal(size=(9, 4)) for _ in range(3))
+    b0[[2, 5]] = 2.0 * a0[[2, 5]]
+    results = []
+    for term in (exploration_norm_l1, norm_l1_chain):
+        a, b = Tensor(a0), Tensor(b0)
+        other = sum_all(a * Tensor(c)) + sum_all(b * Tensor(c))
+        loss = term(a, b)
+        root = (loss.scale(0.3) + other if first == "term"
+                else other + loss.scale(0.3))
+        root.backward()
+        results.append((loss.data, a.grad, b.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 # -- config types ---------------------------------------------------------
