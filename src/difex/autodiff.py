@@ -395,6 +395,8 @@ class AdamW:
         size = sum(p.data.size for p in self.params)
         self.m = np.zeros(size)  # first moments, parameters laid end to end
         self.v = np.zeros(size)
+        # the gathered gradient, two scratch vectors and the next moments
+        self._g, self._a, self._b, self._m, self._v = np.empty((5, size))
 
     def zero_grad(self):
         for p in self.params:
@@ -404,7 +406,9 @@ class AdamW:
         """One update of every parameter as a single flat vector.
 
         Parameters and gradients are gathered afresh each step, so a
-        caller may reassign ``p.data`` between steps. A non-finite result
+        caller may reassign ``p.data`` between steps. Every intermediate
+        lands in a buffer kept between steps, in the order of operations
+        of ``x -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``. A non-finite result
         raises before anything is written back: parameters, moments and
         step count stay as they were.
         """
@@ -414,18 +418,32 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise ValueError("gradient/parameter shape mismatch")
             grads.append(g.ravel())
-        g = np.concatenate(grads)
+        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
+        np.concatenate(grads, out=g)
         x = np.concatenate([p.data.ravel() for p in self.params])
         t = self.t + 1
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         if self.weight_decay:
-            x -= self.lr * self.weight_decay * x
-        m = self.m + (1.0 - self.beta1) * (g - self.m)
-        v = self.v + (1.0 - self.beta2) * (g * g - self.v)
-        x -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            x -= np.multiply(x, self.lr * self.weight_decay, out=a)
+        np.subtract(g, self.m, out=a)
+        a *= 1.0 - self.beta1
+        np.add(self.m, a, out=m)
+        np.multiply(g, g, out=a)
+        a -= self.v
+        a *= 1.0 - self.beta2
+        np.add(self.v, a, out=v)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        x -= a
         _check_finite(x, "parameter after optimizer step")
-        self.t, self.m, self.v = t, m, v
+        self.t = t
+        self.m, self._m = m, self.m
+        self.v, self._v = v, self.v
         offset = 0
         for p in self.params:
             n = p.data.size

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from difex.autodiff import (
+    AdamW,
     Tensor,
     concat_cols,
     dense,
@@ -160,3 +161,22 @@ def test_coral_on_arm_subsets(arms, name):
     for a, (want, grads) in alone.items():
         assert value.data[a] == want
         assert np.array_equal(stack[0].grad[a], grads[0])
+
+
+def test_adamw_over_stacked_parameters():
+    rng = np.random.default_rng(17)
+    shapes = [(6, 4), (4,), (4, 3)]
+    stack = [Tensor(rng.normal(size=(A,) + s)) for s in shapes]
+    alone = [[Tensor(p.data[a]) for p in stack] for a in range(A)]
+    opts = [AdamW(stack, lr=1e-2)] + [AdamW(ps, lr=1e-2) for ps in alone]
+    for _ in range(4):
+        grads = [rng.normal(size=p.data.shape) for p in stack]
+        for p, g in zip(stack, grads):
+            p.grad = g
+        for a, ps in enumerate(alone):
+            for p, g in zip(ps, grads):
+                p.grad = g[a]
+        for opt in opts:
+            opt.step()
+    for p, per_arm in zip(stack, zip(*alone)):
+        assert_arms_equal(p.data, [q.data for q in per_arm])
