@@ -24,6 +24,12 @@ that graph for training; ``forward_np`` runs it on a throwaway graph,
 freed by reference counting on return (the tape is acyclic), and returns
 arrays. ``forward_np`` skips ``forward``, where the benchmark's tracer
 counts training rows.
+
+A ``StudentModel`` can also hold A members of one shape, trained in
+lockstep: ``StudentModel.stack`` lays their weights along a leading arm
+axis, and both passes then take A·B input rows grouped by arm (member a
+reads rows a·B to (a+1)·B) and return every activation as (A, B, width).
+``member(a)`` gives back member a as a plain model.
 """
 
 from __future__ import annotations
@@ -136,7 +142,38 @@ class StudentModel:
             self.bc,
         ]
 
+    @property
+    def arms(self):
+        """Members held: 1 for a plain model, A for a stack."""
+        return self.w1.data.shape[0] if self.w1.data.ndim == 3 else 1
+
+    @classmethod
+    def stack(cls, members):
+        """One model holding ``members`` (all of one shape) along an arm
+        axis; a single member is returned as it is."""
+        if len(members) == 1:
+            return members[0]
+        first = members[0]
+        out = cls(first.in_dim, first.hidden, first.d, first.n_classes, None,
+                  first.input_kind)
+        for p, *each in zip(out.params(), *(m.params() for m in members)):
+            p.data = np.stack([q.data for q in each])
+        return out
+
+    def member(self, a):
+        """Member ``a`` of a stack as a plain model with its own copy of the
+        weights; a plain model is its own only member."""
+        if self.arms == 1:
+            return self
+        out = StudentModel(self.in_dim, self.hidden, self.d, self.n_classes, None,
+                           self.input_kind)
+        for p, q in zip(out.params(), self.params()):
+            p.data = q.data[a].copy()
+        return out
+
     def _layers(self, x: Tensor) -> StudentOutputs:
+        if self.arms > 1:  # rows grouped by arm -> (A, B, in)
+            x = Tensor._op(x.data.reshape(self.arms, -1, self.in_dim), ())
         h = dense(x, self.w1, self.b1).relu()
         z1 = squash_rows(dense(h, self.wz1, self.bz1))
         z2 = squash_rows(dense(h, self.wz2, self.bz2))
@@ -144,11 +181,13 @@ class StudentModel:
         return StudentOutputs(z1=z1, z2=z2, logits=logits)
 
     def forward(self, x: Tensor) -> StudentOutputs:
-        """Graph-building pass; returns the heads and the logits."""
+        """Graph-building pass over (A·B, in) rows grouped by arm (B rows
+        for a plain model); returns the heads and the logits."""
         return self._layers(x)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Logits as an array; the graph is dropped on return."""
+        """Logits as an array, (A, B, classes) for a stack; the graph is
+        dropped on return."""
         return self._layers(Tensor(x)).logits.data
 
 

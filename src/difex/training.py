@@ -5,6 +5,14 @@ Both stages run through one fit loop, ``_fit``, and one data set-up,
 ``_split_pool``; each stage brings only its own batching, as a per-epoch
 generator of ``(loss, parts)``.
 
+The students of several modes (the arms of an ablation) train in
+lockstep, in ``_train_arms``: one stacked ``StudentModel``, one graph,
+one backward pass and one AdamW step per batch for all arms, each arm's
+loss terms running on that arm alone. Every arm draws the same batches
+and initial weights from the run seed, and the stacked ops keep each
+arm's bits, so an arm trained beside others ends exactly as it does
+alone; ``train_student`` is the one-arm case of the same path.
+
 Every random choice draws from its own named stream spawned off the run
 seed (split, teacher init, teacher batches, student init, student
 batches, virtual assignment). Streams a mode does not use are never
@@ -18,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, softmax_cross_entropy
+from .autodiff import AdamW, Tensor, softmax_cross_entropy, sum_all
 from .data import DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
 from .losses import VARIANTS, DomainBatch, LossWeights, total_objective
@@ -169,6 +177,16 @@ def _domain_quota(batch_size, m):
     return quota
 
 
+def _check_fill(batch_size, quota, sizes):
+    """Every domain, of ``sizes`` training rows, fills at least one quota."""
+    if min(sizes) < quota:
+        raise ValueError(
+            f"batch_size {batch_size} takes {quota} rows from each of "
+            f"{len(sizes)} domains, but a domain has fewer samples than its "
+            f"batch quota ({min(sizes)})"
+        )
+
+
 def batch_index_stream(domain_rows, batch_size, rng):
     """One epoch of domain-balanced batches over pooled row indices.
 
@@ -177,10 +195,9 @@ def batch_index_stream(domain_rows, batch_size, rng):
     do not fill a whole quota are dropped for the epoch.
     """
     quota = _domain_quota(batch_size, len(domain_rows))
+    _check_fill(batch_size, quota, [len(rows) for rows in domain_rows])
     perms = [rng.permutation(rows) for rows in domain_rows]
     steps = min(len(p) for p in perms) // quota
-    if steps == 0:
-        raise ValueError("a domain has fewer samples than its batch quota")
     batches = []
     for s in range(steps):
         batches.append(
@@ -237,35 +254,46 @@ def _pool(ds_list, input_kind):
     return X, y, rows
 
 
-def _fit(model, steps, val, cfg):
-    """Train ``model`` with AdamW and leave it at the epoch with the best
-    validation accuracy (the first, on ties). ``steps(epoch)`` yields
-    ``(loss, parts)`` per batch; an epoch's metrics row holds the mean of
-    each part. Returns (metrics, best epoch, best validation accuracy)."""
+def _fit(model, steps, val, cfg, arms=1):
+    """Train ``model`` with one AdamW and leave each of its ``arms`` at
+    the epoch with that arm's best validation accuracy (the first, on
+    ties). ``steps(epoch)`` yields ``(loss, parts)`` per batch, ``parts``
+    one dict per arm; an epoch's metrics row for an arm holds the mean of
+    each of its parts. Returns, per arm, (metrics, best epoch, best
+    validation accuracy)."""
     Xva, yva = val
-    opt = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    metrics = []
-    best_acc, best_params, best_epoch = -1.0, None, -1
+    params = model.params()
+    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+
+    def arm_data(p):  # parameter data with a leading arm axis
+        return p.data if arms > 1 else p.data[None]
+
+    metrics = [[] for _ in range(arms)]
+    best = [(-1.0, -1, None)] * arms  # (accuracy, epoch, weights)
     for epoch in range(cfg.epochs):
-        sums, count = {}, 0
+        sums, count = [{} for _ in range(arms)], 0
         for loss, parts in steps(epoch):
             opt.zero_grad()
             loss.backward()
             opt.step()
-            for key, value in parts.items():
-                sums[key] = sums.get(key, 0.0) + value
+            for arm_sums, arm_parts in zip(sums, parts):
+                for key, value in arm_parts.items():
+                    arm_sums[key] = arm_sums.get(key, 0.0) + value
             count += 1
-        acc = float(np.mean(predict(model, Xva) == yva))
-        row = {"epoch": epoch}
-        row.update({key: total / count for key, total in sums.items()})
-        row["val_acc"] = acc
-        metrics.append(row)
-        if acc > best_acc:
-            best_acc, best_epoch = acc, epoch
-            best_params = [p.data.copy() for p in model.params()]
-    for p, data in zip(model.params(), best_params):
-        p.data = data
-    return metrics, best_epoch, best_acc
+        # each arm validates alone, so no stack of validation rows is built
+        members = [model.member(a) for a in range(arms)] if arms > 1 else [model]
+        for a, member in enumerate(members):
+            acc = float(np.mean(predict(member, Xva) == yva))
+            row = {"epoch": epoch}
+            row.update({key: total / count for key, total in sums[a].items()})
+            row["val_acc"] = acc
+            metrics[a].append(row)
+            if acc > best[a][0]:
+                best[a] = (acc, epoch, [p.data.copy() for p in member.params()])
+    for a, (_, _, weights) in enumerate(best):
+        for p, data in zip(params, weights):
+            arm_data(p)[a] = data
+    return [(metrics[a], best[a][1], best[a][0]) for a in range(arms)]
 
 
 def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
@@ -283,7 +311,7 @@ def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
         for start in range(0, len(Xtr), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             _, logits = teacher.forward(Tensor(Xtr[rows]))
-            yield softmax_cross_entropy(logits, ytr[rows]), {}
+            yield softmax_cross_entropy(logits, ytr[rows]), [{}]
 
     _fit(teacher, steps, val, cfg)
     return teacher
@@ -294,6 +322,10 @@ _COLUMNS = {"cls": "cls_loss", "mse": "mse_loss", "align": "align_loss",
             "exp": "exp_loss", "total": "total"}
 
 
+def _input_kind(cfg):
+    return "phase" if cfg.mode == "phase-only" else "raw"
+
+
 def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     """Stage two: fit the split-head student on the combined objective.
 
@@ -301,13 +333,26 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     computed once up front. Ablated terms are skipped, not zero-weighted,
     so their graphs never exist.
     """
-    w = effective_weights(cfg)
-    if w.lambda1 > 0 and teacher is None:
+    return _train_arms(sources, teacher, [cfg])[0]
+
+
+def _train_arms(sources, teacher, cfgs) -> list:
+    """Train one student per config in lockstep; the configs differ only
+    in a mode of one input kind. One RunResult per config, in order.
+
+    All arms draw the same batches and initial weights from the seed, so
+    one init is stacked A times and every step feeds the batch's rows
+    once per arm; a term runs on the arms whose weight for it is not 0.
+    """
+    cfg, n_arms = cfgs[0], len(cfgs)
+    weights = [effective_weights(c) for c in cfgs]
+    distills = any(w.lambda1 > 0 for w in weights)
+    if distills and teacher is None:
         raise ValueError("distillation is active but no trained teacher was given")
     eff_sources = _student_domains(sources, cfg)
-    if w.lambda2 > 0 and len(eff_sources) < 2:
+    if any(w.lambda2 > 0 for w in weights) and len(eff_sources) < 2:
         raise ValueError("alignment needs >= 2 source domains (or virtual_domains set)")
-    input_kind = "phase" if cfg.mode == "phase-only" else "raw"
+    input_kind = _input_kind(cfg)
     train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(
         eff_sources, cfg, input_kind
     )
@@ -315,31 +360,35 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
         [np.full(len(rows), i, dtype=np.intp) for i, rows in enumerate(domain_rows)]
     )
     teacher_feat = None
-    if w.lambda1 > 0:
+    if distills:
         Xtr_phase, _, _ = _pool(train_list, "phase")
         teacher_feat = teacher.forward_np(Xtr_phase)[0]
-    student = StudentModel(
+    init = StudentModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim, classes,
         stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind,
     )
+    student = StudentModel.stack([init] * n_arms)
+    w = weights if n_arms > 1 else weights[0]
 
     def steps(epoch):
         rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
         for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
-            xb = Tensor(Xtr[idx])
-            out = student.forward(xb)
-            batch = DomainBatch(xb, ytr[idx], dom_idx[idx])
+            out = student.forward(Tensor(np.tile(Xtr[idx], (n_arms, 1))))
+            batch = DomainBatch(out.z2, ytr[idx], dom_idx[idx])
             tf = teacher_feat[idx] if teacher_feat is not None else None
             total, parts = total_objective(batch, tf, out, w)
-            yield total, {_COLUMNS[k]: v for k, v in parts.items()}
+            if n_arms == 1:
+                parts = [parts]
+            else:
+                total = sum_all(total)  # the root seeds every arm's total with 1
+            yield total, [{_COLUMNS[k]: v for k, v in p.items()} for p in parts]
 
-    metrics, best_epoch, best_acc = _fit(student, steps, val, cfg)
-    return RunResult(
-        model=student,
-        metrics=metrics,
-        selected_epoch=best_epoch,
-        val_accuracy=best_acc,
-    )
+    fits = _fit(student, steps, val, cfg, n_arms)
+    return [
+        RunResult(model=student.member(a), metrics=metrics,
+                  selected_epoch=best_epoch, val_accuracy=best_acc)
+        for a, (metrics, best_epoch, best_acc) in enumerate(fits)
+    ]
 
 
 def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
@@ -348,24 +397,32 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
 
     The teacher depends on everything in the config except the mode, so
     it is trained once, for the first mode that distills, and every
-    distilling mode learns from that one teacher. A batch size too small
-    for the student's domains fails before any teacher is trained.
+    distilling mode learns from that one teacher. The students of modes
+    with one input kind train in lockstep. A batch size too small for the
+    student's domains fails before any teacher is trained.
     """
     sources, target_ds = leave_one_out(domains, target)
-    _domain_quota(cfg.batch_size, len(_student_domains(sources, cfg)))
-    teacher = None
-    results = []
-    for mode in modes:
-        arm = replace(cfg, mode=mode)
-        if effective_weights(arm).lambda1 > 0:
-            if teacher is None:
-                teacher = train_teacher(sources, arm)
-            result = train_student(sources, teacher, arm)
-            result.teacher = teacher
-        else:
-            result = train_student(sources, None, arm)
-        result.target_accuracy = evaluate(result.model, [target_ds])
-        results.append(result)
+    student_domains = _student_domains(sources, cfg)
+    quota = _domain_quota(cfg.batch_size, len(student_domains))
+    _check_fill(cfg.batch_size, quota, [
+        len(train_val_split(ds, 1.0 - cfg.val_fraction, cfg.seed)[0])
+        for ds in student_domains
+    ])
+    arms = [replace(cfg, mode=mode) for mode in modes]
+    distills = [effective_weights(arm).lambda1 > 0 for arm in arms]
+    teacher = train_teacher(sources, arms[distills.index(True)]) if any(distills) else None
+    results = [None] * len(arms)
+    for kind in ("raw", "phase"):
+        group = [i for i, arm in enumerate(arms) if _input_kind(arm) == kind]
+        if not group:
+            continue
+        # a lone arm goes through the one-arm entry, as a direct caller's does
+        trained = ([train_student(sources, teacher, arms[group[0]])] if len(group) == 1
+                   else _train_arms(sources, teacher, [arms[i] for i in group]))
+        for i, result in zip(group, trained):
+            result.teacher = teacher if distills[i] else None
+            result.target_accuracy = evaluate(result.model, [target_ds])
+            results[i] = result
     return results
 
 

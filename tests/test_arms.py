@@ -18,11 +18,14 @@ from difex.autodiff import (
 )
 from difex.losses import (
     DomainBatch,
+    LossWeights,
     coral_loss,
     exploration_l2,
     exploration_norm_l1,
     mse_distill,
+    total_objective,
 )
+from difex.model import StudentModel
 
 A = 5
 # domain ids of one balanced batch, as batch_index_stream lays them out
@@ -180,3 +183,61 @@ def test_adamw_over_stacked_parameters():
             opt.step()
     for p, per_arm in zip(stack, zip(*alone)):
         assert_arms_equal(p.data, [q.data for q in per_arm])
+
+
+ARM_WEIGHTS = [  # the ablation arms: erm, no-intern, no-mutual, no-exp, full
+    LossWeights(0.0, 0.0, 0.0),
+    LossWeights(0.0, 1.0, 0.1),
+    LossWeights(1.0, 0.0, 0.1),
+    LossWeights(1.0, 1.0, 0.0),
+    LossWeights(1.0, 1.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("variant", ["l2", "norm_l1"])
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_a_stacked_step_equals_each_arm_alone(variant, name):
+    # the whole step: model forward, objective, backward, one AdamW update
+    ids = BATCHES[name]
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(len(ids), 12))
+    y = rng.integers(0, 3, size=len(ids))
+    teacher = np.tanh(rng.normal(size=(len(ids), 4)))
+    weights = [LossWeights(w.lambda1, w.lambda2, w.lambda3, variant)
+               for w in ARM_WEIGHTS]
+    init = StudentModel(12, 16, 8, 3, rng)
+    stack = StudentModel.stack([init] * A)
+    pair = StudentModel.stack([init, init])
+    models = [pair.member(0) for _ in range(A)]  # each its own copy
+    out = stack.forward(Tensor(np.tile(x, (A, 1))))
+    total, parts = total_objective(DomainBatch(out.z2, y, ids), teacher, out, weights)
+    opt = AdamW(stack.params())
+    sum_all(total).backward()
+    opt.step()
+    for a, (m, w) in enumerate(zip(models, weights)):
+        o = m.forward(Tensor(x))
+        t, p = total_objective(DomainBatch(o.z2, y, ids), teacher, o, w)
+        single = AdamW(m.params())
+        t.backward()
+        single.step()
+        assert parts[a] == p
+        assert total.data[a] == t.data
+        member = stack.member(a)
+        for got, want in zip(member.params(), m.params()):
+            assert np.array_equal(got.data, want.data)
+
+
+def test_stack_and_member_round_trip():
+    rng = np.random.default_rng(23)
+    members = [StudentModel(10, 8, 4, 3, rng) for _ in range(3)]
+    stack = StudentModel.stack(members)
+    assert stack.arms == 3 and members[0].arms == 1
+    assert StudentModel.stack(members[:1]) is members[0]
+    x = rng.normal(size=(7, 10))
+    logits = stack.forward_np(np.tile(x, (3, 1)))
+    assert logits.shape == (3, 7, 3)
+    for a, m in enumerate(members):
+        back = stack.member(a)
+        for p, q in zip(back.params(), m.params()):
+            assert np.array_equal(p.data, q.data)
+        assert np.array_equal(logits[a], m.forward_np(x))

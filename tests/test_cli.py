@@ -286,6 +286,23 @@ def test_a_batch_too_small_for_the_student_exits_two_before_any_teacher(
     assert "batch_size 3 cannot give 2 domains" in capsys.readouterr().err
 
 
+def test_a_batch_larger_than_a_domain_exits_two_before_any_teacher(
+    workspace, tmp_path, capsys, monkeypatch,
+):
+    def refuse(sources, cfg):
+        raise AssertionError("a teacher was trained")
+
+    monkeypatch.setattr(difex.training, "train_teacher", refuse)
+    # each source's training split holds 15 rows; a batch of 2000 asks 1000
+    text = TRAIN_CFG.replace("batch_size = 12", "batch_size = 2000")
+    cfg = write(tmp_path / "t.cfg", text)
+    assert main(["train", workspace["data"], "--config", cfg,
+                 "--target", "0", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: batch_size 2000 takes 1000 rows")
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):
     cfg = write(tmp_path / "t.cfg", TRAIN_CFG + "epochs = 1\n")
     assert main(["train", workspace["data"], "--config", cfg,

@@ -468,6 +468,12 @@ def test_run_arms_checks_the_batch_quota_before_any_teacher(monkeypatch):
     cfg = tiny_cfg(batch_size=5, virtual_domains=3)
     with pytest.raises(ValueError, match="cannot give 3 domains"):
         run_arms(domains[:2], 0, cfg, ("full",))
+    # a batch that asks a source for more rows than its training split has
+    with pytest.raises(ValueError, match="batch_size 2000 takes 1000 rows"):
+        run_arms(domains, 0, tiny_cfg(batch_size=2000), ("full",))
+    with pytest.raises(ValueError, match="batch_size"):
+        run_arms(domains[:2], 0, tiny_cfg(batch_size=60, virtual_domains=2),
+                 ("erm", "full"))
 
 
 # -- phase features -------------------------------------------------------
