@@ -275,6 +275,16 @@ def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     return out
 
 
+# (part, weight field, exploration variant) of each auxiliary term, in the
+# order the objective adds them
+_TERMS = (
+    ("mse", "lambda1", None),
+    ("align", "lambda2", None),
+    ("exp", "lambda3", "l2"),
+    ("exp", "lambda3", "norm_l1"),
+)
+
+
 def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     """Weighted sum of the active terms, plus their values for logging.
 
@@ -289,33 +299,33 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     and parts is a list of one such dict per arm.
     """
     stacked = not isinstance(w, LossWeights)
-    ws = list(w) if stacked else [w]
+    ws = w if stacked else (w,)
+    if teacher_feat is None and any(x.lambda1 > 0 for x in ws):
+        raise ValueError("distillation weight set but no teacher features given")
     cls = softmax_cross_entropy(outputs.logits, batch.labels)
     total = cls
     logged = [("cls", cls, range(len(ws)))]
-
-    def add(key, weight, build, variant=None):
-        nonlocal total
-        lam = np.array([getattr(x, weight) for x in ws])
-        on = [a for a, x in enumerate(ws) if lam[a] > 0 and variant in (None, x.variant)]
+    for key, weight, variant in _TERMS:
+        lams = [getattr(x, weight) if variant in (None, x.variant) else 0.0 for x in ws]
+        on = [a for a, lam in enumerate(lams) if lam > 0]
         if not on:
-            return
-        term = build(None if len(on) == len(ws) else np.array(on))
+            continue
+        arms = None if len(on) == len(ws) else np.array(on)
+        if key == "mse":
+            term = mse_distill(outputs.z1, teacher_feat, arms)
+        elif key == "align":
+            term = coral_loss(DomainBatch(outputs.z2, batch.labels, batch.domain_ids), arms)
+        else:
+            explore = exploration_l2 if variant == "l2" else exploration_norm_l1
+            term = explore(outputs.z1, outputs.z2, arms)
         logged.append((key, term, on))
-        total = total + term.scale(lam if stacked else float(lam[0]))
-
-    if teacher_feat is None and any(x.lambda1 > 0 for x in ws):
-        raise ValueError("distillation weight set but no teacher features given")
-    add("mse", "lambda1", lambda arms: mse_distill(outputs.z1, teacher_feat, arms))
-    add("align", "lambda2", lambda arms: coral_loss(
-        DomainBatch(outputs.z2, batch.labels, batch.domain_ids), arms))
-    add("exp", "lambda3", lambda arms: exploration_l2(outputs.z1, outputs.z2, arms), "l2")
-    add("exp", "lambda3",
-        lambda arms: exploration_norm_l1(outputs.z1, outputs.z2, arms), "norm_l1")
+        total = total + term.scale(np.array(lams) if stacked else lams[0])
     logged.append(("total", total, range(len(ws))))
+    if not stacked:
+        return total, {key: float(t.data) for key, t, _ in logged}
     parts = [{} for _ in ws]
     for key, t, on in logged:
-        values = t.data.reshape(-1).tolist()
+        values = t.data.tolist()
         for a in on:
             parts[a][key] = values[a]
-    return total, (parts if stacked else parts[0])
+    return total, parts
