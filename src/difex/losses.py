@@ -242,12 +242,11 @@ def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
 
     One graph node with the bits of the op chain ``rowwise_div(z,
     sum_rows(z * z).sqrt())`` for each head, then ``sum_all(diff.abs())
-    .scale(-1/rows)`` of their difference (the tests keep those ops as
-    its oracle). Its backward replays the
-    chain's gradient steps in tape order: each head takes its division's
-    gradient, then its product's two. A tape buffer starts at zero, so the
-    ``+ 0.0`` below keep the sign of zero that the chain's first ``+=``
-    gives.
+    .scale(-1/rows)`` of their difference; the tests keep those ops as
+    its oracle. Its backward replays the chain's gradient steps in tape
+    order: each head takes its division's gradient, then its product's
+    two. A tape buffer starts at zero, so the ``+ 0.0`` below keep the
+    sign of zero that the chain's first ``+=`` gives.
     """
     if z1.data.shape != z2.data.shape:
         raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")

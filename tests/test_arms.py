@@ -9,6 +9,7 @@ import pytest
 
 from difex.autodiff import (
     AdamW,
+    NonFiniteError,
     Tensor,
     concat_cols,
     dense,
@@ -241,3 +242,19 @@ def test_stack_and_member_round_trip():
         for p, q in zip(back.params(), m.params()):
             assert np.array_equal(p.data, q.data)
         assert np.array_equal(logits[a], m.forward_np(x))
+
+
+def test_a_non_finite_arm_stops_the_step():
+    rng = np.random.default_rng(31)
+    ids = BATCHES["3-source"]
+    stack = StudentModel.stack([StudentModel(12, 16, 8, 3, rng)] * A)
+    stack.w1.data[2, 0, 0] = np.inf  # one arm's weight, set between steps
+    x = np.tile(rng.normal(size=(len(ids), 12)), (A, 1))
+    y = rng.integers(0, 3, size=len(ids))
+    with np.errstate(all="ignore"):
+        out = stack.forward(Tensor(x))
+        total, _ = total_objective(DomainBatch(out.z2, y, ids), None, out,
+                                   [LossWeights(0.0, 1.0, 0.1)] * A)
+    assert np.isfinite(np.delete(total.data, 2)).all()
+    with pytest.raises(NonFiniteError):
+        sum_all(total).backward()

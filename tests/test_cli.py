@@ -252,6 +252,15 @@ def test_numerical_blowup_exits_three(workspace, tmp_path):
     assert code == 3
 
 
+def test_a_blowup_in_some_ablation_arms_exits_three(workspace, tmp_path):
+    # only the arms that explore overflow; the teacher and erm stay finite
+    hot = write(tmp_path / "hot.cfg", TRAIN_CFG + "lambda3 = 1e308\n")
+    with np.errstate(all="ignore"):
+        code = main(["ablate", workspace["data"], "--config", hot,
+                     "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+
+
 @pytest.mark.parametrize("line", [
     "hidden = 0", "lr = nan", "lr = inf", "lr = -0.001", "weight_decay = -1",
     "virtual_domains = 0", "virtual_domains = 1", "virtual_domains = -1",
