@@ -395,7 +395,7 @@ class AdamW:
         size = sum(p.data.size for p in self.params)
         self.m = np.zeros(size)  # first moments, parameters laid end to end
         self.v = np.zeros(size)
-        # the gathered gradient, two scratch vectors and the next moments
+        # the gathered gradient, two work vectors and the next moments
         self._g, self._a, self._b, self._m, self._v = np.empty((5, size))
 
     def zero_grad(self):
