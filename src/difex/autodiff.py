@@ -14,6 +14,10 @@ without a pass of the cyclic garbage collector.
 Everything is 64-bit and single-threaded; tensors are treated as immutable
 once created (the optimizer is the only mutator, between graphs).
 
+The tape holds only the ops that the models and the objective build. The
+general ops that the fused ones replace (matrix product, transpose,
+elementwise product) live with the tests, as their bit-for-bit oracles.
+
 The layer ops (``dense``, ``relu``, ``squash_rows``, ``concat_cols``,
 ``softmax_cross_entropy``) take an optional leading arm axis: A models of
 one shape trained in lockstep hold their weights as (A, ...) stacks and
@@ -39,7 +43,6 @@ __all__ = [
     "Tensor",
     "concat_cols",
     "dense",
-    "matmul",
     "softmax_cross_entropy",
     "squash_rows",
     "sum_all",
@@ -85,13 +88,6 @@ class Tensor:
         out._backprop = None
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
     # -- graph traversal -------------------------------------------------
 
     def backward(self):
@@ -110,8 +106,8 @@ class Tensor:
     # -- operators -------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other)
-        _same_shape(self, other, "add")
+        if self.data.shape != other.data.shape:
+            raise ValueError(f"add: shape mismatch {self.data.shape} vs {other.data.shape}")
         out = Tensor._op(self.data + other.data, (self, other))
 
         def backprop(g):
@@ -120,40 +116,6 @@ class Tensor:
 
         out._backprop = backprop
         return out
-
-    def __sub__(self, other):
-        other = _as_tensor(other)
-        _same_shape(self, other, "sub")
-        out = Tensor._op(self.data - other.data, (self, other))
-
-        def backprop(g):
-            self.grad += g
-            other.grad -= g
-
-        out._backprop = backprop
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        _same_shape(self, other, "mul")
-        out = Tensor._op(self.data * other.data, (self, other))
-
-        def backprop(g):
-            self.grad += g * other.data
-            other.grad += g * self.data
-
-        out._backprop = backprop
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def scale(self, s: float):
         out = Tensor._op(self.data * s, (self,))
@@ -184,44 +146,6 @@ class Tensor:
         out._backprop = backprop
         return out
 
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        out = Tensor._op(y, (self,))
-
-        def backprop(g):
-            self.grad += g / (2.0 * y)
-
-        out._backprop = backprop
-        return out
-
-    def abs(self):
-        out = Tensor._op(np.abs(self.data), (self,))
-
-        def backprop(g):
-            self.grad += g * np.sign(self.data)
-
-        out._backprop = backprop
-        return out
-
-    @property
-    def T(self):
-        out = Tensor._op(self.data.T.copy(), (self,))
-
-        def backprop(g):
-            self.grad += g.T
-
-        out._backprop = backprop
-        return out
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
 
 def _topo_order(root):
     """Iterative post-order DFS; each node appears once, parents first."""
@@ -246,26 +170,9 @@ def _topo_order(root):
 # -- operations beyond the dunders ---------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul: inner dims disagree {a.data.shape} x {b.data.shape}"
-        )
-    out = Tensor._op(a.data @ b.data, (a, b))
-
-    def backprop(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
-
-    out._backprop = backprop
-    return out
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``x @ w + b`` as one node; same bits as ``matmul``
-    followed by a separate bias-add node.
+    """Affine layer ``x @ w + b`` as one node; same bits as a matrix-product
+    node followed by a separate bias-add node.
 
     With an arm axis, x is (A, B, in), w (A, in, out) and b (A, out)."""
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape

@@ -236,6 +236,8 @@ def cmd_ablate(args):
         raise DataError(f"bad --seeds list {args.seeds!r}") from None
     if not seeds:
         raise DataError("no seeds given")
+    if min(seeds) < 0:
+        raise DataError(f"--seeds must be >= 0, got {args.seeds!r}")
     cfg = _train_config(args.config, "full", seeds[0])
     targets = sorted(ds.domain for ds in domains)
     grid = [

@@ -589,26 +589,28 @@ def load_csv(path, channels=None) -> DomainDataset:
         channels = _manifest_channels(path)
     if channels < 1 or width % channels:
         raise DataError(f"{path}: width {width} not divisible by {channels} channels")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width + 2:
+    body = lines[1:]
+    # every row's width first, so a short row is reported before a bad cell
+    for ln, line in enumerate(body, start=2):
+        if line.count(",") != width + 1:
             raise DataError(
-                f"{path}:{ln}: expected {width + 2} columns, got {len(parts)}"
+                f"{path}:{ln}: expected {width + 2} columns, got {line.count(',') + 1}"
             )
-        rows.append(parts)
-    if not rows:
+    if not body:
         raise DataError(f"{path}: no data rows")
-    try:
-        table = np.array(rows, dtype=np.float64)
-    except ValueError:
-        for ln, parts in enumerate(rows, start=2):
+    # a row at a time, cast as np.array(rows, dtype=float64) would cast it
+    table = np.empty((len(body), width + 2))
+    for i, line in enumerate(body):
+        parts = line.split(",")
+        try:
+            table[i] = parts
+        except ValueError:
             for cell in parts:
                 try:
                     float(cell)
                 except ValueError:
-                    raise DataError(f"{path}:{ln}: bad number {cell!r}") from None
-        raise
+                    raise DataError(f"{path}:{i + 2}: bad number {cell!r}") from None
+            raise
     domains, labels = table[:, 0], table[:, 1]
     # ids arrive as float64; NaN, inf, fractions and values beyond intp
     # are not whole
@@ -620,7 +622,7 @@ def load_csv(path, channels=None) -> DomainDataset:
         raise DataError(f"{path}: mixed domain ids in one file")
     if not whole[:, 1].all() or np.any(labels < 0):
         raise DataError(f"{path}: labels must be non-negative integers < 2**{_ID_BITS}")
-    X = table[:, 2:].reshape(len(rows), channels, width // channels)
+    X = table[:, 2:].reshape(len(body), channels, width // channels)
     return DomainDataset(domain=int(domains[0]), X=X, y=labels.astype(np.intp))
 
 

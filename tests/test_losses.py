@@ -17,7 +17,16 @@ from difex.losses import (
     mse_distill,
     total_objective,
 )
-from oracles import rowwise_div, sum_rows, take_rows
+from oracles import (
+    absolute,
+    covariance_chain,
+    mul,
+    rowwise_div,
+    sqrt,
+    sub,
+    sum_rows,
+    take_rows,
+)
 
 
 def rel_err(got, want):
@@ -39,6 +48,24 @@ def test_covariance_matches_reference_estimator():
         got = covariance(Tensor(x)).data
         want = np.cov(x.T, ddof=1)
         assert rel_err(got, want) < 1e-12
+
+
+def test_covariance_is_bit_identical_to_the_op_chain():
+    # one node against the chain it replaced: value and gradient, at row
+    # counts and scales from tiny to large
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n, d = rng.integers(2, 12), rng.integers(1, 7)
+        x0 = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        up = rng.normal(size=(d, d))
+        results = []
+        for cov in (covariance, covariance_chain):
+            x = Tensor(x0)
+            out = cov(x)
+            (sum_all(mul(out, Tensor(up))) + sum_all(mul(x, x))).backward()
+            results.append((out.data, x.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 def test_covariance_needs_two_rows():
@@ -163,14 +190,14 @@ def coral_chain(batch: DomainBatch):
     """The unfused op chain coral_loss must reproduce bit for bit."""
     ids = batch.domain_ids
     covs = [
-        covariance(take_rows(batch.features, np.flatnonzero(ids == d)))
+        covariance_chain(take_rows(batch.features, np.flatnonzero(ids == d)))
         for d in np.unique(ids)
     ]
     total = None
     for i in range(len(covs)):
         for j in range(i + 1, len(covs)):
-            diff = covs[i] - covs[j]
-            term = sum_all(diff * diff)
+            diff = sub(covs[i], covs[j])
+            term = sum_all(mul(diff, diff))
             total = term if total is None else total + term
     return total.scale(1.0 / (len(covs) * (len(covs) - 1) // 2))
 
@@ -188,7 +215,7 @@ def test_alignment_is_bit_identical_to_the_op_chain(k):
     for align in (coral_loss, coral_chain):
         leaf = Tensor(f0)
         loss = align(batch_of_tensor(leaf, ids))
-        total = loss.scale(0.7) + sum_all(leaf * Tensor(const))
+        total = loss.scale(0.7) + sum_all(mul(leaf, Tensor(const)))
         total.backward()
         results.append((loss.data, leaf.grad))
     (fused, fused_grad), (chain, chain_grad) = results
@@ -376,12 +403,12 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
     a0, b0, t = (rng.normal(size=(9, 4)) for _ in range(3))
 
     def mse_chain(a, b):
-        diff = a - Tensor(t)
-        return sum_all(diff * diff).scale(1.0 / t.size)
+        diff = sub(a, Tensor(t))
+        return sum_all(mul(diff, diff)).scale(1.0 / t.size)
 
     def exploration_chain(a, b):
-        diff = a - b
-        return sum_all(diff * diff).scale(-1.0 / a.data.shape[0])
+        diff = sub(a, b)
+        return sum_all(mul(diff, diff)).scale(-1.0 / a.data.shape[0])
 
     pairs = (
         (lambda a, b: mse_distill(a, t), mse_chain),
@@ -392,7 +419,7 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
         for term in (fused, chain):
             a, b = Tensor(a0), Tensor(b0)
             loss = term(a, b)
-            (loss.scale(0.3) + sum_all(a * b)).backward()
+            (loss.scale(0.3) + sum_all(mul(a, b))).backward()
             results.append((loss.data, a.grad, b.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
@@ -400,9 +427,9 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
 
 def norm_l1_chain(z1, z2):
     """exploration_norm_l1 as the op chain it was before it became one node."""
-    normed = [rowwise_div(z, sum_rows(z * z).sqrt()) for z in (z1, z2)]
-    diff = normed[0] - normed[1]
-    return sum_all(diff.abs()).scale(-1.0 / z1.data.shape[0])
+    normed = [rowwise_div(z, sqrt(sum_rows(mul(z, z)))) for z in (z1, z2)]
+    diff = sub(normed[0], normed[1])
+    return sum_all(absolute(diff)).scale(-1.0 / z1.data.shape[0])
 
 
 @pytest.mark.parametrize("first", ["term", "other"])
@@ -416,7 +443,7 @@ def test_norm_l1_is_bit_identical_to_the_op_chain(first):
     results = []
     for term in (exploration_norm_l1, norm_l1_chain):
         a, b = Tensor(a0), Tensor(b0)
-        other = sum_all(a * Tensor(c)) + sum_all(b * Tensor(c))
+        other = sum_all(mul(a, Tensor(c))) + sum_all(mul(b, Tensor(c)))
         loss = term(a, b)
         root = (loss.scale(0.3) + other if first == "term"
                 else other + loss.scale(0.3))

@@ -64,6 +64,8 @@ def test_config_validation():
     for k in (-1, 0, 1):
         with pytest.raises(ValueError, match="virtual_domains"):
             TrainConfig(virtual_domains=k)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     # the objective's fields are checked in every mode, ablated or not
     for mode in ("full", "erm"):
         with pytest.raises(ValueError, match="lambda1"):
