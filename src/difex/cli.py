@@ -259,25 +259,22 @@ def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
     write_table(rows, os.path.join(args.out, "runs.csv"))
 
-    # per arm, (mean, std) of target_acc on each target, then over all of them
-    summary = {}
+    names = [f"target_{t}" for t in targets] + ["overall"]
+    summary_rows = []
+    lines = [f"{'mode':<10}" + "".join(f"target {t:<12}" for t in targets)
+             + "overall"]
     for arm in ABLATION_ARMS:
+        # (mean, std) of target_acc on each target, then over all of them
         groups = [[r["target_acc"] for r in rows
                    if r["mode"] == arm and r["target"] == t] for t in targets]
         groups.append([acc for g in groups for acc in g])
-        summary[arm] = [(float(np.mean(g)), float(np.std(g))) for g in groups]
-    names = [f"target_{t}" for t in targets] + ["overall"]
-    summary_rows = []
-    for arm, stats in summary.items():
+        stats = [(float(np.mean(g)), float(np.std(g))) for g in groups]
         row = {"mode": arm}
         for name, (mean, std) in zip(names, stats):
             row[f"{name}_mean"], row[f"{name}_std"] = mean, std
         summary_rows.append(row)
-    write_table(summary_rows, os.path.join(args.out, "summary.csv"))
-    lines = [f"{'mode':<10}" + "".join(f"target {t:<12}" for t in targets)
-             + "overall"]
-    for arm, stats in summary.items():
         lines.append(f"{arm:<10}" + "  ".join(f"{m:.4f}±{s:.4f}" for m, s in stats))
+    write_table(summary_rows, os.path.join(args.out, "summary.csv"))
     table = "\n".join(lines) + "\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)

@@ -203,7 +203,8 @@ def _check_code_bins(bins, n, taken, what):
 
 
 # the most float64 sample cells (domains x classes x per_class x channels
-# x length) a benchmark may have; the default benchmark has 153,600
+# x length) a benchmark may have, 153,600 by default; also the most
+# student weights one training.run_arms call may hold
 MAX_CELLS = 2**26
 
 
@@ -515,8 +516,8 @@ def load_dir(path, domains=None):
 
     With ``domains`` (a set of domain ids), only datasets of those domains
     are returned. A file whose first data row names a domain outside the
-    set is skipped unparsed; any other file is loaded in full, so it fails
-    as it would without the filter.
+    set is skipped after its first two lines, unparsed; any other file is
+    loaded in full, so it fails as it would without the filter.
     """
     manifest = _read_manifest(os.path.join(path, "manifest.json"))
     if not manifest["files"]:
@@ -534,32 +535,15 @@ def load_dir(path, domains=None):
     return out
 
 
-# enough characters for a header and the first cell of the next row
-_PEEK_CHARS = 1 << 16
-
-
 def _first_domain(path):
-    """The domain cell of a dataset file's first data row as a float, or
-    None when the file cannot be read that far or the cell does not parse.
-
-    The row is split as `load_csv` splits it, and the cell parses as its
-    float64 would, so a whole number compares equal to its integer id.
-    """
+    """The domain cell of a dataset file's first data row, its second line,
+    as a float (so "1.0" matches domain 1), or None when the file cannot
+    be read that far or the cell does not parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(_PEEK_CHARS)
+            fh.readline()
+            return float(fh.readline().split(",", 1)[0])
     except (OSError, ValueError):
-        return None
-    lines = head.splitlines()
-    if len(lines) < 2:
-        return None
-    row = lines[1]
-    # the cell is whole once a comma or line break follows it, or at the end
-    if "," not in row and len(lines) == 2 and len(head) == _PEEK_CHARS:
-        return None
-    try:
-        return float(row.split(",", 1)[0])
-    except ValueError:
         return None
 
 

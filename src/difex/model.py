@@ -273,6 +273,14 @@ def load_checkpoint(path):
             raise ValueError(
                 f"checkpoint field {key!r} must be a positive integer, got {v!r}"
             )
+    # the float64s the dims imply, checked before a model of them is built;
+    # w is the feature width, which the student's two heads split
+    i, h, w, c = dims
+    expected = (i * h + h + h * w + w + w * c + c) * 8
+    if len(blob) != expected:
+        raise ValueError(
+            f"checkpoint blob is {len(blob)} bytes, expected {expected}"
+        )
     table = header.get("shapes")
     if not isinstance(table, list) or not all(isinstance(s, list) for s in table):
         raise ValueError("checkpoint shape table must be a list of lists")
@@ -281,14 +289,8 @@ def load_checkpoint(path):
     else:
         model = StudentModel(*dims, rng=None, input_kind=input_kind)
     params = model.params()
-    shapes = [tuple(s) for s in table]
-    if shapes != [p.data.shape for p in params]:
+    if [tuple(s) for s in table] != [p.data.shape for p in params]:
         raise ValueError("checkpoint shape table does not match architecture")
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
-    if len(blob) != expected:
-        raise ValueError(
-            f"checkpoint blob is {len(blob)} bytes, expected {expected}"
-        )
     offset = 0
     for p in params:
         n = p.data.size

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import AdamW, Tensor, softmax_cross_entropy, sum_all
-from .data import DomainDataset, leave_one_out, stream
+from .data import MAX_CELLS, DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
 from .losses import VARIANTS, DomainBatch, LossWeights, total_objective
 from .model import StudentModel, TeacherModel, predict
@@ -366,7 +366,9 @@ def _train_arms(sources, teacher, cfgs) -> list:
     teacher_feat = None
     if distills:
         Xtr_phase, _, _ = _pool(train_list, "phase")
-        teacher_feat = teacher.forward_np(Xtr_phase)[0]
+        # as in _fit: an overflow ends in a step's NonFiniteError, unannounced
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            teacher_feat = teacher.forward_np(Xtr_phase)[0]
     init = StudentModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim, classes,
         stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind,
@@ -397,36 +399,40 @@ def _train_arms(sources, teacher, cfgs) -> list:
 
 def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
     """Hold out one domain, train one student per mode on the rest, and
-    score each on the held-out domain; results follow ``modes``.
+    score each on the held-out domain; results follow ``modes``, which
+    must share one input kind.
 
     The teacher depends on everything in the config except the mode, so
     it is trained once, for the first mode that distills, and every
-    distilling mode learns from that one teacher. The students of modes
-    with one input kind train in lockstep. A batch size too small for the
-    student's domains fails before any teacher is trained.
+    distilling mode learns from that one teacher; the students train in
+    lockstep. Mixed kinds, layers over ``data.MAX_CELLS`` weights and a
+    batch too small for the student's domains fail before any teacher.
     """
+    arms = [replace(cfg, mode=mode) for mode in modes]
+    if len({_input_kind(arm) for arm in arms}) != 1:
+        raise ValueError(f"modes must be of one input kind, got {tuple(modes)}")
     sources, target_ds = leave_one_out(domains, target)
+    classes = max(int(ds.y.max()) for ds in sources) + 1
+    h, d = cfg.hidden, cfg.feature_dim
+    weights = len(arms) * (sources[0].X[0].size * h + h * d + d * classes)
+    if weights > MAX_CELLS:
+        raise ValueError(
+            f"hidden = {h} and feature_dim = {d} give {weights} weights over "
+            f"{len(arms)} student(s) of {classes} classes; the limit is {MAX_CELLS}")
     student_domains = _student_domains(sources, cfg)
     quota = _domain_quota(cfg.batch_size, len(student_domains))
     _check_fill(cfg.batch_size, quota, [
         len(train_val_split(ds, 1.0 - cfg.val_fraction, cfg.seed)[0])
         for ds in student_domains
     ])
-    arms = [replace(cfg, mode=mode) for mode in modes]
     distills = [effective_weights(arm).lambda1 > 0 for arm in arms]
     teacher = train_teacher(sources, arms[distills.index(True)]) if any(distills) else None
-    results = [None] * len(arms)
-    for kind in ("raw", "phase"):
-        group = [i for i, arm in enumerate(arms) if _input_kind(arm) == kind]
-        if not group:
-            continue
-        # a lone arm goes through the one-arm entry, as a direct caller's does
-        trained = ([train_student(sources, teacher, arms[group[0]])] if len(group) == 1
-                   else _train_arms(sources, teacher, [arms[i] for i in group]))
-        for i, result in zip(group, trained):
-            result.teacher = teacher if distills[i] else None
-            result.target_accuracy = evaluate(result.model, [target_ds])
-            results[i] = result
+    # a lone arm goes through the one-arm entry, as a direct caller's does
+    results = ([train_student(sources, teacher, arms[0])] if len(arms) == 1
+               else _train_arms(sources, teacher, arms))
+    for result, distilled in zip(results, distills):
+        result.teacher = teacher if distilled else None
+        result.target_accuracy = evaluate(result.model, [target_ds])
     return results
 
 

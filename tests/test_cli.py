@@ -262,13 +262,21 @@ def test_a_blowup_in_some_ablation_arms_exits_three(workspace, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+# in the last, the teacher takes one step (30 training rows, batch 30) and
+# keeps huge finite weights, so the overflow comes in its distillation targets
+@pytest.mark.parametrize("command, config", [
+    ("train", TRAIN_CFG + "lr = 1e300\n"),
+    ("ablate", TRAIN_CFG + "lr = 1e300\n"),
+    ("train", TRAIN_CFG.replace("epochs = 2", "epochs = 1")
+     .replace("batch_size = 12", "batch_size = 30")
+     + "lr = 1e300\nweight_decay = 0\n"),
+], ids=["train", "ablate", "train-targets"])
 def test_an_overflowing_run_prints_one_line(workspace, tmp_path, capsys,
-                                            monkeypatch, command):
+                                            monkeypatch, command, config):
     # under "error" a numpy overflow warning would escape main as an
     # exception; the run must end in its one exit-3 line alone
     monkeypatch.setenv("DIFEX_THREADS", "1")
-    hot = write(tmp_path / "hot.cfg", TRAIN_CFG + "lr = 1e300\n")
+    hot = write(tmp_path / "hot.cfg", config)
     pick = ["--target", "0"] if command == "train" else ["--seeds", "1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

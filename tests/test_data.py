@@ -345,6 +345,22 @@ def test_load_dir_with_domains_loads_what_it_cannot_rule_out(tmp_path):
         load_dir(tmp_path, domains={1})
 
 
+def test_load_dir_with_domains_reads_two_lines_of_a_wide_file(tmp_path):
+    # domain 1's header alone is 68,902 characters; its last row is bad
+    save_csv(DomainDataset(0, np.zeros((2, 2, 3)), np.array([0, 1])),
+             tmp_path / "domain_0.csv")
+    wide = tmp_path / "domain_1.csv"
+    save_csv(DomainDataset(1, np.zeros((2, 2, 5000)), np.array([0, 1])), wide)
+    assert len(wide.read_text().splitlines()[0]) == 68902
+    with open(wide, "a", encoding="utf-8") as fh:
+        fh.write("1,0," + "0.0," * 9999 + "oops\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"channels": 2, "files": ["domain_0.csv", "domain_1.csv"]}))
+    assert [ds.domain for ds in load_dir(tmp_path, domains={0})] == [0]
+    with pytest.raises(DataError, match="bad number 'oops'"):
+        load_dir(tmp_path, domains={1})
+
+
 def test_config_rejects_sizes_beyond_the_ceiling():
     for kw in (dict(domains=10**12), dict(per_class=10**12)):
         with pytest.raises(DataError, match="limit"):

@@ -121,6 +121,16 @@ def test_any_train_config_exits_cleanly(data_dir, capsys, values, mode, data):
         assert err.startswith("difex: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["hidden", "feature_dim"])
+@pytest.mark.parametrize("value", [2**31, 10**12])
+def test_a_layer_size_too_big_to_hold_exits_two(data_dir, capsys, key, value):
+    for mode in MODES:
+        code, err = _train(data_dir, {key: value}, mode, capsys)
+        assert code == 2, mode
+        assert err.startswith("difex: error: ") and err.count("\n") == 1
+        assert f"{key} = {value}" in err
+
+
 # -- benchmark config -----------------------------------------------------
 
 # small values, so a config that passes generates in milliseconds
@@ -242,12 +252,16 @@ JSON_VALUES = st.recursive(
 )
 
 
+# sizes no model could be built at
+HUGE = [2**31, 10**12]
+
+
 @settings(FUZZ, max_examples=150)
 @given(kind=st.sampled_from(["student", "teacher"]),
        key=st.sampled_from(["format", "kind", "input", "in_dim", "hidden", "d",
                             "feat_dim", "classes", "shapes", "seed", "extra"]),
        value=st.one_of(st.just(DELETE), st.sampled_from(["raw", "phase"]),
-                       JSON_VALUES))
+                       st.sampled_from(HUGE), JSON_VALUES))
 def test_an_edited_checkpoint_header_exits_zero_or_two(
         data_dir, checkpoints, capsys, kind, key, value):
     header, blob = _read(checkpoints[kind])
@@ -268,6 +282,19 @@ def test_an_edited_checkpoint_header_exits_zero_or_two(
     assert code == (0 if ok else 2), (kind, key, value)
     if code:
         assert err.startswith("difex: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+@pytest.mark.parametrize("value", HUGE)
+def test_a_huge_checkpoint_dim_exits_two(data_dir, checkpoints, capsys, kind, value):
+    header, blob = _read(checkpoints[kind])
+    width = "d" if kind == "student" else "feat_dim"
+    for key in ("in_dim", "hidden", width, "classes"):
+        line = json.dumps({**header, key: value}).encode("utf-8")
+        code, err = _eval(data_dir, line, blob, capsys)
+        assert code == 2, key
+        assert err.startswith("difex: error: checkpoint blob is ")
+        assert err.count("\n") == 1
 
 
 @FUZZ

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import difex.model
 from difex.autodiff import Tensor
 from difex.model import (
     StudentModel,
@@ -199,6 +200,38 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 2, 1), (6, 4, 4, 2), (12, 8, 6, 4),
+                                   (32, 16, 8, 3)])
+def test_checkpoint_blob_size_follows_the_header_dims(tmp_path, sizes):
+    # the loader's count of float64s from the dims equals the layers' sizes
+    for model in (StudentModel(*sizes, rng_for(20)), TeacherModel(*sizes, rng_for(21))):
+        path = tmp_path / f"{model.kind}.ckpt"
+        save_checkpoint(model, path)
+        load_checkpoint(path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        count = sum(p.data.size for p in model.params())
+        with pytest.raises(ValueError, match=f"expected {count * 8}$"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_blob_size_is_checked_before_a_model_is_built(
+        tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for model, width in ((StudentModel(6, 4, 4, 2, rng_for(22)), "d"),
+                         (TeacherModel(6, 4, 2, 2, rng_for(23)), "feat_dim")):
+        path = tmp_path / f"{model.kind}.ckpt"
+        save_checkpoint(model, path)
+        header, blob = split_checkpoint(path)
+        monkeypatch.setattr(difex.model, type(model).__name__, refuse)
+        for key in ("in_dim", "hidden", width, "classes"):
+            path.write_bytes(json.dumps({**header, key: 10**7}).encode() + b"\n" + blob)
+            with pytest.raises(ValueError, match="checkpoint blob is"):
+                load_checkpoint(path)
+        monkeypatch.undo()
 
 
 def test_checkpoint_rejects_garbage_header(tmp_path):

@@ -457,11 +457,15 @@ def test_run_arms_equals_one_run_per_arm(monkeypatch):
         assert got.selected_epoch == want.selected_epoch
 
 
-def test_run_arms_checks_the_batch_quota_before_any_teacher(monkeypatch):
+@pytest.fixture
+def no_teacher(monkeypatch):
     def refuse(sources, cfg):
         raise AssertionError("a teacher was trained")
 
     monkeypatch.setattr(difex.training, "train_teacher", refuse)
+
+
+def test_run_arms_checks_the_batch_quota_before_any_teacher(no_teacher):
     domains = tiny_domains()
     # two sources get 1 row each of a batch of 3
     with pytest.raises(ValueError, match="cannot give 2 domains"):
@@ -475,6 +479,30 @@ def test_run_arms_checks_the_batch_quota_before_any_teacher(monkeypatch):
         run_arms(domains, 0, tiny_cfg(batch_size=2000), ("full",))
     with pytest.raises(ValueError, match="batch_size"):
         run_arms(domains[:2], 0, tiny_cfg(batch_size=60, virtual_domains=2),
+                 ("erm", "full"))
+
+
+def test_run_arms_refuses_mixed_input_kinds_before_any_teacher(no_teacher):
+    with pytest.raises(ValueError, match=r"one input kind.*'erm', 'phase-only'"):
+        run_arms(tiny_domains(), 0, tiny_cfg(), ("erm", "phase-only"))
+    with pytest.raises(ValueError, match="one input kind"):
+        run_arms(tiny_domains(), 0, tiny_cfg(), ())
+
+
+def test_run_arms_checks_the_layer_sizes_before_any_teacher(no_teacher):
+    domains = tiny_domains()  # 2 channels x 16 = 32 inputs, 4 classes
+    for hidden, feature_dim in ((10**12, 8), (8, 2**31), (2**31, 10**12)):
+        cfg = tiny_cfg(hidden=hidden, feature_dim=feature_dim)
+        with pytest.raises(ValueError, match=f"hidden = {hidden} and feature_dim "
+                                             f"= {feature_dim}.*limit is {2**26}"):
+            run_arms(domains, 0, cfg, ("erm", "full"))
+    # two students of 32 x h + h x 2 + 2 x 4 weights: the first h over 2**26
+    h = (2**25 - 8) // 34 + 1
+    with pytest.raises(ValueError, match=f"give {2 * (34 * h + 8)} weights over 2 "):
+        run_arms(domains, 0, tiny_cfg(hidden=h, feature_dim=2), ("erm", "full"))
+    # one fewer passes the size check and stops at the next, the batch quota
+    with pytest.raises(ValueError, match="batch_size 2000"):
+        run_arms(domains, 0, tiny_cfg(hidden=h - 1, feature_dim=2, batch_size=2000),
                  ("erm", "full"))
 
 
