@@ -40,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "NonFiniteError",
+    "quiet_overflow",
     "Tensor",
     "concat_cols",
     "dense",
@@ -59,6 +60,13 @@ class NonFiniteError(ArithmeticError):
 def _check_finite(arr, context):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in {context}")
+
+
+def quiet_overflow():
+    """numpy's floating-point warnings off, as a context manager: an
+    overflow is caught where a result is checked (a loss, an update, the
+    logits) and ends in one ``NonFiniteError`` with no warnings first."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Tensor:

@@ -19,6 +19,11 @@ per-coordinate folding classifies measurably better here; the student's
 distillation head then converges to the radial projection of the
 teacher's features, which preserves their directions.
 
+Each net's parameters are laid out once, in ``_LAYOUTS``: every
+(name, shape), in declaration and checkpoint order, from the net's four
+``sizes`` (inputs, hidden, feature width, classes). Construction,
+``params()``, both checkpoint functions and ``parameter_count`` read it.
+
 Each net defines its layers once, in ``_layers``. ``forward`` returns
 that graph for training; ``forward_np`` runs it on a throwaway graph,
 freed by reference counting on return (the tape is acyclic), and returns
@@ -35,57 +40,74 @@ reads rows a·B to (a+1)·B) and return every activation as (A, B, width).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, dense, squash_rows
+from .autodiff import (Tensor, _check_finite, concat_cols, dense, quiet_overflow,
+                       squash_rows)
 
 __all__ = [
     "TeacherModel",
     "StudentModel",
     "StudentOutputs",
     "predict",
+    "parameter_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
+# (name, shape) of each parameter per kind, from the sizes; a 2-D shape is
+# a weight, a 1-D one its layer's bias
+_LAYOUTS = {
+    "teacher": lambda i, h, w, c: {
+        "w1": (i, h), "b1": (h,), "w2": (h, w), "b2": (w,), "wc": (w, c), "bc": (c,),
+    },
+    "student": lambda i, h, d, c: {
+        "w1": (i, h), "b1": (h,), "wz1": (h, d // 2), "bz1": (d // 2,),
+        "wz2": (h, d // 2), "bz2": (d // 2,), "wc": (d, c), "bc": (c,),
+    },
+}
 
-def _init_weight(rng, fan_in, fan_out):
-    if rng is None:
-        return Tensor(np.zeros((fan_in, fan_out)))
-    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+
+def parameter_count(kind, sizes):
+    """Floats, weights and biases, in one net of ``kind`` and these sizes."""
+    return sum(math.prod(shape) for shape in _LAYOUTS[kind](*sizes).values())
 
 
-class TeacherModel:
+class _Net:
+    """Parameters in the kind's layout: weights He-normal from ``rng`` in
+    layout order (zeros when ``rng`` is None), biases zero."""
+
+    def __init__(self, in_dim, hidden, width, n_classes, rng):
+        self.sizes = (in_dim, hidden, width, n_classes)
+        for name, shape in _LAYOUTS[self.kind](*self.sizes).items():
+            if rng is None or len(shape) == 1:
+                data = np.zeros(shape)
+            else:
+                data = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            setattr(self, name, Tensor(data))
+
+    def params(self):
+        return [getattr(self, name) for name in _LAYOUTS[self.kind](*self.sizes)]
+
+    def forward(self, x: Tensor):
+        """Graph-building pass: the teacher's (features, logits); the
+        student's heads and logits over (A·B, in) rows grouped by arm."""
+        return self._layers(x)
+
+
+class TeacherModel(_Net):
     """Phase-input classifier whose feature layer is the distillation target."""
 
     kind = "teacher"
     input_kind = "phase"
 
-    def __init__(self, in_dim, hidden, feat_dim, n_classes, rng):
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.feat_dim = feat_dim
-        self.n_classes = n_classes
-        self.w1 = _init_weight(rng, in_dim, hidden)
-        self.b1 = Tensor(np.zeros(hidden))
-        self.w2 = _init_weight(rng, hidden, feat_dim)
-        self.b2 = Tensor(np.zeros(feat_dim))
-        self.wc = _init_weight(rng, feat_dim, n_classes)
-        self.bc = Tensor(np.zeros(n_classes))
-
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.wc, self.bc]
-
     def _layers(self, x: Tensor):
         h = dense(x, self.w1, self.b1).relu()
         feat = dense(h, self.w2, self.b2).tanh()
         return feat, dense(feat, self.wc, self.bc)
-
-    def forward(self, x: Tensor):
-        """Graph-building pass; returns (features, logits)."""
-        return self._layers(x)
 
     def forward_np(self, x: np.ndarray):
         """(features, logits) as arrays; the graph is dropped on return."""
@@ -102,7 +124,7 @@ class StudentOutputs:
     logits: Tensor
 
 
-class StudentModel:
+class StudentModel(_Net):
     """Raw-input classifier with a split feature layer.
 
     ``input_kind`` records what the net was trained on ("raw" normally,
@@ -115,32 +137,8 @@ class StudentModel:
     def __init__(self, in_dim, hidden, d, n_classes, rng, input_kind="raw"):
         if d % 2:
             raise ValueError(f"feature width d must be even, got {d}")
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.d = d
-        self.n_classes = n_classes
+        super().__init__(in_dim, hidden, d, n_classes, rng)
         self.input_kind = input_kind
-        half = d // 2
-        self.w1 = _init_weight(rng, in_dim, hidden)
-        self.b1 = Tensor(np.zeros(hidden))
-        self.wz1 = _init_weight(rng, hidden, half)
-        self.bz1 = Tensor(np.zeros(half))
-        self.wz2 = _init_weight(rng, hidden, half)
-        self.bz2 = Tensor(np.zeros(half))
-        self.wc = _init_weight(rng, d, n_classes)
-        self.bc = Tensor(np.zeros(n_classes))
-
-    def params(self):
-        return [
-            self.w1,
-            self.b1,
-            self.wz1,
-            self.bz1,
-            self.wz2,
-            self.bz2,
-            self.wc,
-            self.bc,
-        ]
 
     @property
     def arms(self):
@@ -154,8 +152,7 @@ class StudentModel:
         if len(members) == 1:
             return members[0]
         first = members[0]
-        out = cls(first.in_dim, first.hidden, first.d, first.n_classes, None,
-                  first.input_kind)
+        out = cls(*first.sizes, None, first.input_kind)
         for p, *each in zip(out.params(), *(m.params() for m in members)):
             p.data = np.stack([q.data for q in each])
         return out
@@ -165,25 +162,19 @@ class StudentModel:
         weights; a plain model is its own only member."""
         if self.arms == 1:
             return self
-        out = StudentModel(self.in_dim, self.hidden, self.d, self.n_classes, None,
-                           self.input_kind)
+        out = StudentModel(*self.sizes, None, self.input_kind)
         for p, q in zip(out.params(), self.params()):
             p.data = q.data[a].copy()
         return out
 
     def _layers(self, x: Tensor) -> StudentOutputs:
         if self.arms > 1:  # rows grouped by arm -> (A, B, in)
-            x = Tensor._op(x.data.reshape(self.arms, -1, self.in_dim), ())
+            x = Tensor._op(x.data.reshape(self.arms, -1, self.sizes[0]), ())
         h = dense(x, self.w1, self.b1).relu()
         z1 = squash_rows(dense(h, self.wz1, self.bz1))
         z2 = squash_rows(dense(h, self.wz2, self.bz2))
         logits = dense(concat_cols(z1, z2), self.wc, self.bc)
         return StudentOutputs(z1=z1, z2=z2, logits=logits)
-
-    def forward(self, x: Tensor) -> StudentOutputs:
-        """Graph-building pass over (A·B, in) rows grouped by arm (B rows
-        for a plain model); returns the heads and the logits."""
-        return self._layers(x)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         """Logits as an array, (A, B, classes) for a stack; the graph is
@@ -196,13 +187,16 @@ def predict(model, x):
 
     Accepts one flat sample or a batch of rows of the model's input kind;
     no transform is involved, inference is a single forward pass of the
-    student or teacher.
+    student or teacher. Logits that are not finite raise
+    ``NonFiniteError``: no class is read off them.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
-    logits = model.forward_np(np.atleast_2d(arr))
+    with quiet_overflow():
+        logits = model.forward_np(np.atleast_2d(arr))
     if model.kind == "teacher":
         logits = logits[1]  # the teacher also returns its features
+    _check_finite(logits, "logits")
     ids = np.argmax(logits, axis=1)
     return int(ids[0]) if single else ids
 
@@ -215,7 +209,7 @@ def predict(model, x):
 
 FORMAT_VERSION = 1
 
-# constructor sizes per model kind, in argument order
+# header keys of each kind's ``sizes``, in order
 _HEADER_DIMS = {
     "teacher": ("in_dim", "hidden", "feat_dim", "classes"),
     "student": ("in_dim", "hidden", "d", "classes"),
@@ -229,16 +223,10 @@ def save_checkpoint(model, path, seed=None):
         "format": FORMAT_VERSION,
         "kind": model.kind,
         "input": model.input_kind,
-        "in_dim": model.in_dim,
-        "hidden": model.hidden,
-        "classes": model.n_classes,
+        **dict(zip(_HEADER_DIMS[model.kind], model.sizes)),
         "seed": seed,
         "shapes": [list(p.data.shape) for p in model.params()],
     }
-    if model.kind == "teacher":
-        header["feat_dim"] = model.feat_dim
-    else:
-        header["d"] = model.d
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -247,7 +235,9 @@ def save_checkpoint(model, path, seed=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from disk; returns (model, header). Shape-validates."""
+    """Rebuild a model from disk; returns (model, header). The blob size
+    and the shape table are checked against the layout before a model is
+    built, and every weight read must be finite."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -273,28 +263,22 @@ def load_checkpoint(path):
             raise ValueError(
                 f"checkpoint field {key!r} must be a positive integer, got {v!r}"
             )
-    # the float64s the dims imply, checked before a model of them is built;
-    # w is the feature width, which the student's two heads split
-    i, h, w, c = dims
-    expected = (i * h + h + h * w + w + w * c + c) * 8
+    expected = parameter_count(kind, dims) * 8
     if len(blob) != expected:
-        raise ValueError(
-            f"checkpoint blob is {len(blob)} bytes, expected {expected}"
-        )
+        raise ValueError(f"checkpoint blob is {len(blob)} bytes, expected {expected}")
     table = header.get("shapes")
     if not isinstance(table, list) or not all(isinstance(s, list) for s in table):
         raise ValueError("checkpoint shape table must be a list of lists")
-    if kind == "teacher":
-        model = TeacherModel(*dims, rng=None)
-    else:
-        model = StudentModel(*dims, rng=None, input_kind=input_kind)
-    params = model.params()
-    if [tuple(s) for s in table] != [p.data.shape for p in params]:
+    layout = _LAYOUTS[kind](*dims)
+    if [tuple(s) for s in table] != list(layout.values()):
         raise ValueError("checkpoint shape table does not match architecture")
+    model = (TeacherModel(*dims, None) if kind == "teacher"
+             else StudentModel(*dims, None, input_kind))
     offset = 0
-    for p in params:
-        n = p.data.size
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-        p.data = arr.reshape(p.data.shape).astype(np.float64)
-        offset += n * 8
+    for name, shape in layout.items():
+        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
+        getattr(model, name).data = arr.reshape(shape).astype(np.float64)
+        offset += arr.nbytes
     return model, header

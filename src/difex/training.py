@@ -26,11 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, softmax_cross_entropy, sum_all
+from .autodiff import AdamW, Tensor, quiet_overflow, softmax_cross_entropy, sum_all
 from .data import MAX_CELLS, DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
 from .losses import VARIANTS, DomainBatch, LossWeights, total_objective
-from .model import StudentModel, TeacherModel, predict
+from .model import StudentModel, TeacherModel, parameter_count, predict
 
 __all__ = [
     "MODES",
@@ -272,8 +272,7 @@ def _fit(model, steps, val, cfg, arms=1):
 
     metrics = [[] for _ in range(arms)]
     best = [(-1.0, -1, None)] * arms  # (accuracy, epoch, weights)
-    # an overflow ends in a step's NonFiniteError, with no numpy warnings first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet_overflow():
         for epoch in range(cfg.epochs):
             sums, count = [{} for _ in range(arms)], 0
             for loss, parts in steps(epoch):
@@ -366,8 +365,7 @@ def _train_arms(sources, teacher, cfgs) -> list:
     teacher_feat = None
     if distills:
         Xtr_phase, _, _ = _pool(train_list, "phase")
-        # as in _fit: an overflow ends in a step's NonFiniteError, unannounced
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with quiet_overflow():
             teacher_feat = teacher.forward_np(Xtr_phase)[0]
     init = StudentModel(
         Xtr.shape[1], cfg.hidden, cfg.feature_dim, classes,
@@ -414,7 +412,8 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
     sources, target_ds = leave_one_out(domains, target)
     classes = max(int(ds.y.max()) for ds in sources) + 1
     h, d = cfg.hidden, cfg.feature_dim
-    weights = len(arms) * (sources[0].X[0].size * h + h * d + d * classes)
+    sizes = (sources[0].X[0].size, h, d, classes)
+    weights = len(arms) * parameter_count("student", sizes)
     if weights > MAX_CELLS:
         raise ValueError(
             f"hidden = {h} and feature_dim = {d} give {weights} weights over "

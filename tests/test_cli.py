@@ -262,15 +262,16 @@ def test_a_blowup_in_some_ablation_arms_exits_three(workspace, tmp_path):
     assert code == 3
 
 
-# in the last, the teacher takes one step (30 training rows, batch 30) and
-# keeps huge finite weights, so the overflow comes in its distillation targets
+# in the last two, the teacher takes one step (30 training rows, batch 30)
+# and keeps huge finite weights, so the logits of its validation overflow
 @pytest.mark.parametrize("command, config", [
     ("train", TRAIN_CFG + "lr = 1e300\n"),
     ("ablate", TRAIN_CFG + "lr = 1e300\n"),
     ("train", TRAIN_CFG.replace("epochs = 2", "epochs = 1")
      .replace("batch_size = 12", "batch_size = 30")
      + "lr = 1e300\nweight_decay = 0\n"),
-], ids=["train", "ablate", "train-targets"])
+    ("train", "epochs = 1\nbatch_size = 30\nlr = 1e300\nweight_decay = 0\n"),
+], ids=["train", "ablate", "train-targets", "train-logits"])
 def test_an_overflowing_run_prints_one_line(workspace, tmp_path, capsys,
                                             monkeypatch, command, config):
     # under "error" a numpy overflow warning would escape main as an

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,42 @@ def test_a_huge_checkpoint_dim_exits_two(data_dir, checkpoints, capsys, kind, va
         assert code == 2, key
         assert err.startswith("difex: error: checkpoint blob is ")
         assert err.count("\n") == 1
+
+
+def _weights(path):
+    header, blob = _read(path)
+    return json.dumps(header).encode("utf-8"), np.frombuffer(blob, "<f8").copy()
+
+
+@FUZZ
+@given(kind=st.sampled_from(["student", "teacher"]),
+       value=st.sampled_from([NAN, INF, -INF]), data=st.data())
+def test_a_non_finite_checkpoint_weight_exits_two(
+        data_dir, checkpoints, capsys, kind, value, data):
+    line, weights = _weights(checkpoints[kind])
+    weights[data.draw(st.integers(0, weights.size - 1))] = value
+    code, err = _eval(data_dir, line, weights.astype("<f8").tobytes(), capsys)
+    assert code == 2
+    assert err.startswith("difex: error: checkpoint parameter ")
+    assert err.count("\n") == 1
+
+
+@FUZZ
+@given(kind=st.sampled_from(["student", "teacher"]),
+       scale=st.one_of(st.just(1e300), st.floats(1.0, 1e300)))
+def test_huge_finite_checkpoint_weights_exit_zero_or_three(
+        data_dir, checkpoints, capsys, kind, scale):
+    # under "error" a numpy overflow warning would escape main as an exception
+    line, weights = _weights(checkpoints[kind])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _eval(data_dir, line, (weights * scale).astype("<f8").tobytes(),
+                          capsys)
+    assert code in (0, 3), scale
+    if code:
+        assert err.startswith("difex: numerical failure: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 @FUZZ

@@ -496,9 +496,10 @@ def test_run_arms_checks_the_layer_sizes_before_any_teacher(no_teacher):
         with pytest.raises(ValueError, match=f"hidden = {hidden} and feature_dim "
                                              f"= {feature_dim}.*limit is {2**26}"):
             run_arms(domains, 0, cfg, ("erm", "full"))
-    # two students of 32 x h + h x 2 + 2 x 4 weights: the first h over 2**26
-    h = (2**25 - 8) // 34 + 1
-    with pytest.raises(ValueError, match=f"give {2 * (34 * h + 8)} weights over 2 "):
+    # two students of 32 x h + h + h x 2 + 2 + 2 x 4 + 4 floats: the first h
+    # over 2**26
+    h = (2**25 - 14) // 35 + 1
+    with pytest.raises(ValueError, match=f"give {2 * (35 * h + 14)} weights over 2 "):
         run_arms(domains, 0, tiny_cfg(hidden=h, feature_dim=2), ("erm", "full"))
     # one fewer passes the size check and stops at the next, the batch quota
     with pytest.raises(ValueError, match="batch_size 2000"):
