@@ -1,9 +1,10 @@
 """The reverse-mode core in four small scenes.
 
 No frameworks anywhere in this package: gradients come from a tape of
-numpy operations. This script builds a tiny graph by hand, checks its
-gradient against central finite differences, then lets AdamW pull a
-quadratic to its minimum. Every op here is one the training step runs.
+numpy operations. A net's whole forward pass is one node of that tape.
+This script builds a training step's graph by hand, checks its gradient
+against central finite differences, then lets AdamW pull a quadratic to
+its minimum.
 """
 
 import numpy as np
@@ -12,32 +13,38 @@ from difex.autodiff import (
     AdamW,
     Tensor,
     backward,
-    dense,
     finite_difference_grad,
     softmax_cross_entropy,
-    sum_all,
 )
 from difex.losses import mse_distill
+from difex.model import TeacherModel
 
-# scene 1: a scalar through a few ops (an affine layer with a zero bias)
-x = Tensor(np.array([[1.0, -1.5], [0.5, 3.0]]))
-w = Tensor(np.array([[2.0], [1.0]]))
-b = Tensor(np.zeros(1))
-out = sum_all(dense(x, w, b).relu())
-out.backward()
-print("f(x) = sum(relu(x @ w + b)), b = 0")
-print("value:", float(out.data))
-print("df/dx:\n", x.grad)
-print("df/dw:\n", w.grad)
+# scene 1: a teacher step's graph is the parameters, the net's node (its
+# logits) and the loss node; backward fills every parameter's gradient
+net = TeacherModel(3, 4, 2, 2, np.random.default_rng(0))
+x = np.array([[1.0, -1.5, 0.5], [0.5, 3.0, -2.0]])
+labels = np.array([0, 1])
+_, logits = net.forward(Tensor(x))
+loss = softmax_cross_entropy(logits, labels)
+loss.backward()
+print("loss = cross-entropy(teacher(x)), one node for the whole net")
+print("value:", round(float(loss.data), 6))
+print("parents of the net's node:", len(logits._parents), "parameters")
+print("dloss/dw1:\n", net.w1.grad.round(6))
 
-# scene 2: the same gradient from finite differences (both rows are away
-# from relu's kink at 0, where a central difference would read half a slope)
+
+# scene 2: the same gradient from finite differences of the loss
 def f(flat):
-    return float(sum_all(dense(Tensor(flat.reshape(2, 2)), w, b).relu()).data)
+    keep = net.w1.data
+    net.w1.data = flat.reshape(keep.shape)
+    value = float(softmax_cross_entropy(net.forward(Tensor(x))[1], labels).data)
+    net.w1.data = keep
+    return value
 
-fd = finite_difference_grad(f, x.data.ravel().copy()).reshape(2, 2)
+
+fd = finite_difference_grad(f, net.w1.data.ravel().copy()).reshape(net.w1.data.shape)
 print("\nfinite-difference check, max abs gap:",
-      float(np.abs(fd - x.grad).max()))
+      float(np.abs(fd - net.w1.grad).max()))
 
 # scene 3: cross-entropy on logits, the loss the classifiers use
 logits = Tensor(np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0]]))

@@ -18,7 +18,9 @@ from difex.losses import (
     exploration_l2,
     exploration_norm_l1,
     mse_distill,
+    total_objective,
 )
+from difex.model import StudentModel
 
 # distillation: plain mean squared gap, teacher held constant
 student = Tensor(np.array([[1.0, 2.0]]))
@@ -61,3 +63,13 @@ print("  scale-invariant and bounded below by -2*sqrt(dim) =",
 w = LossWeights()
 print(f"\ndefault weights: lambda1={w.lambda1} lambda2={w.lambda2} "
       f"lambda3={w.lambda3} variant={w.variant!r}")
+
+# the whole objective over a student's forward pass: one graph node, whose
+# only parent is the net's node
+student = StudentModel(3, 6, 4, 2, rng)
+out = student.forward(Tensor(rng.normal(size=(8, 3))))
+batch = DomainBatch(out.z2, np.arange(8) % 2, ids, quota=4)
+total, parts = total_objective(batch, rng.normal(size=(8, 2)) * 0.1, out, w)
+print("\nobjective parts:", {k: round(v, 4) for k, v in parts.items()})
+print("parents of the objective node:", len(total._parents),
+      "| of the net's node:", len(out.logits._parents), "parameters")

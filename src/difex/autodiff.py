@@ -14,17 +14,15 @@ without a pass of the cyclic garbage collector.
 Everything is 64-bit and single-threaded; tensors are treated as immutable
 once created (the optimizer is the only mutator, between graphs).
 
-The tape holds only the ops that the models and the objective build. The
-general ops that the fused ones replace (matrix product, transpose,
-elementwise product) live with the tests, as their bit-for-bit oracles.
-
-The layer ops (``dense``, ``relu``, ``squash_rows``, ``concat_cols``,
-``softmax_cross_entropy``) take an optional leading arm axis: A models of
-one shape trained in lockstep hold their weights as (A, ...) stacks and
-their activations as (A, rows, width). Every arm's slice of a result and
-of a gradient has the bits the same op gives on that arm's 2-D operands,
-because each op runs the same BLAS call, elementwise formula or
-last-axis reduction per slice.
+A training step's graph holds the parameters, one node for the net's
+forward pass (``model``) and one for its loss: ``softmax_cross_entropy``
+for the teacher, ``losses.total_objective`` for the student, with a
+``sum_all`` root over arms trained in lockstep. The layer ops those nodes
+replace (``+``, ``scale``, ``relu``, ``tanh``, ``dense``, ``squash_rows``,
+``concat_cols``, matrix product, ...) live with the tests, as the op
+chain the nodes must match bit for bit. With a leading arm axis, every
+arm's slice of a result and of a gradient has the bits the same op gives
+on that arm's 2-D operands.
 
 Finiteness is checked at the edges of a step, not at every node: a
 ``Tensor`` built from outside data rejects NaN/Inf, ``backward`` rejects a
@@ -42,10 +40,7 @@ __all__ = [
     "NonFiniteError",
     "quiet_overflow",
     "Tensor",
-    "concat_cols",
-    "dense",
     "softmax_cross_entropy",
-    "squash_rows",
     "sum_all",
     "backward",
     "AdamW",
@@ -58,7 +53,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(arr, context):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
 
 
@@ -111,49 +106,6 @@ class Tensor:
             if node._backprop is not None:
                 node._backprop(node.grad)
 
-    # -- operators -------------------------------------------------------
-
-    def __add__(self, other):
-        if self.data.shape != other.data.shape:
-            raise ValueError(f"add: shape mismatch {self.data.shape} vs {other.data.shape}")
-        out = Tensor._op(self.data + other.data, (self, other))
-
-        def backprop(g):
-            self.grad += g
-            other.grad += g
-
-        out._backprop = backprop
-        return out
-
-    def scale(self, s: float):
-        out = Tensor._op(self.data * s, (self,))
-
-        def backprop(g):
-            self.grad += g * s
-
-        out._backprop = backprop
-        return out
-
-    def relu(self):
-        # subgradient at 0 is taken as 0
-        out = Tensor._op(np.maximum(self.data, 0.0), (self,))
-
-        def backprop(g):
-            self.grad += g * (self.data > 0.0)
-
-        out._backprop = backprop
-        return out
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = Tensor._op(y, (self,))
-
-        def backprop(g):
-            self.grad += g * (1.0 - y * y)
-
-        out._backprop = backprop
-        return out
-
 
 def _topo_order(root):
     """Iterative post-order DFS; each node appears once, parents first."""
@@ -175,28 +127,7 @@ def _topo_order(root):
     return order
 
 
-# -- operations beyond the dunders ---------------------------------------
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``x @ w + b`` as one node; same bits as a matrix-product
-    node followed by a separate bias-add node.
-
-    With an arm axis, x is (A, B, in), w (A, in, out) and b (A, out)."""
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    if (x.data.ndim not in (2, 3) or w.data.ndim != x.data.ndim
-            or b.data.ndim != w.data.ndim - 1 or xs[:-2] != ws[:-2]
-            or bs[:-1] != ws[:-2] or xs[-1] != ws[-2] or ws[-1] != bs[-1]):
-        raise ValueError(f"dense: {xs} @ {ws} + {bs}")
-    out = Tensor._op(x.data @ w.data + b.data[..., None, :], (x, w, b))
-
-    def backprop(g):
-        b.grad += g.sum(axis=-2)
-        x.grad += g @ w.data.swapaxes(-1, -2)
-        w.grad += x.data.swapaxes(-1, -2) @ g
-
-    out._backprop = backprop
-    return out
+# -- operations ----------------------------------------------------------
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -209,48 +140,28 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def squash_rows(x: Tensor, radius: float = 1.0) -> Tensor:
-    """Scale each row of x by 1/(1 + |row|/radius).
+def _cross_entropy(logits, labels):
+    """Cross-entropy of the ``logits`` array and its backward, on arrays."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if logits.ndim not in (2, 3):
+        raise ValueError("softmax_cross_entropy expects B-by-C logits")
+    n, c = logits.shape[-2:]
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"label out of range [0, {c})")
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    losses = np.log(total) - shifted[..., rows, labels]
 
-    Row norms land strictly inside `radius` while directions pass
-    through untouched, and the Jacobian never vanishes: rows can always
-    be rotated or shrunk back no matter how hard something pushed them
-    outward. That makes it the right cap for features that face a
-    maximized divergence term, where a saturating elementwise squash
-    would leave dead, unrecoverable coordinates.
-    """
-    if x.data.ndim not in (2, 3):
-        raise ValueError("squash_rows expects a matrix or a stack of them")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    r = np.sqrt((x.data * x.data).sum(axis=-1) + 1e-300)
-    g = 1.0 / (1.0 + r / radius)
-    out = Tensor._op(x.data * g[..., None], (x,))
+    def grad(g):
+        p = e / total[..., None]  # the softmax
+        p[..., rows, labels] -= 1.0
+        return g[..., None, None] * p / n
 
-    def backprop(g_out):
-        # d/dx [g(r)·x] = g·I + (dg/dr)·x xᵀ/r, with dg/dr = −g²/radius
-        xu = (g_out * x.data).sum(axis=-1)
-        coef = xu * g * g / (radius * r)
-        x.grad += g_out * g[..., None] - x.data * coef[..., None]
-
-    out._backprop = backprop
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two B-by-* matrices (or two stacks of them) along columns."""
-    if (a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim
-            or a.data.shape[:-1] != b.data.shape[:-1]):
-        raise ValueError(f"concat_cols: {a.data.shape} | {b.data.shape}")
-    p = a.data.shape[-1]
-    out = Tensor._op(np.concatenate([a.data, b.data], axis=-1), (a, b))
-
-    def backprop(g):
-        a.grad += g[..., :p]
-        b.grad += g[..., p:]
-
-    out._backprop = backprop
-    return out
+    return losses.mean(axis=-1), grad
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -258,25 +169,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     With an arm axis, logits are (A, B, C), every arm is scored on the
     same B labels, and the result holds one mean per arm."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if logits.data.ndim not in (2, 3):
-        raise ValueError("softmax_cross_entropy expects B-by-C logits")
-    n, c = logits.data.shape[-2:]
-    if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"label out of range [0, {c})")
-    rows = np.arange(n)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    losses = lse - shifted[..., rows, labels]
-    out = Tensor._op(losses.mean(axis=-1), (logits,))
+    value, grad = _cross_entropy(logits.data, labels)
+    out = Tensor._op(value, (logits,))
 
     def backprop(g):
-        p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
-        p[..., rows, labels] -= 1.0
-        logits.grad += g[..., None, None] * p / n
+        logits.grad += grad(g)
 
     out._backprop = backprop
     return out

@@ -4,10 +4,10 @@ The combined objective is
 
     cls + lambda1 * distill + lambda2 * align + lambda3 * explore
 
-where terms with a zero weight are skipped outright, so the degenerate
-setting builds exactly the same graph as a plain cross-entropy baseline.
-``covariance`` and the alignment term share one covariance, forward and
-backward.
+where terms with a zero weight are skipped outright. ``total_objective``
+is one graph node; each term is also a node of its own, and both run the
+term's one array core. ``covariance`` and the alignment term share one
+covariance, forward and backward.
 
 Arms trained in lockstep feed features with a leading arm axis, (A, B, w),
 and each term takes the ``arms`` that keep it: it reads and writes only
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor, _cross_entropy
 
 __all__ = [
     "LossWeights",
@@ -64,11 +64,15 @@ class LossWeights:
 
 @dataclass
 class DomainBatch:
-    """A feature matrix with per-row labels and domain ids."""
+    """A feature matrix with per-row labels and domain ids. ``quota`` says
+    the rows are ``quota`` rows of each domain in turn, as the batches of
+    ``training.batch_index_stream`` are: alignment then reshapes the rows
+    instead of regrouping them by ``domain_ids``."""
 
     features: Tensor
     labels: np.ndarray
     domain_ids: np.ndarray
+    quota: int | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.intp)
@@ -78,9 +82,8 @@ class DomainBatch:
             raise ValueError("labels/domain_ids must match the batch dimension")
 
 
-def _rows(t: Tensor, arms):
-    """The data of ``arms`` (all of ``t`` when None)."""
-    return t.data if arms is None else t.data[arms]
+def _rows(x, arms):  # the rows of ``arms`` (all of them when None)
+    return x if arms is None else x[arms]
 
 
 def _add_grad(t: Tensor, arms, g):
@@ -96,13 +99,13 @@ def _per_arm_sum(a):
     return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _term(value, parents, arms):
-    """A term's output node: ``value`` per arm of ``arms``, 0 elsewhere."""
-    if arms is not None:
-        full = np.zeros(parents[0].data.shape[0])
-        full[arms] = value
-        value = full
-    return Tensor._op(value, parents)
+def _padded(value, arms, n_arms):
+    """The value of each arm of ``arms`` as one value per arm, 0 elsewhere."""
+    if arms is None:
+        return value
+    full = np.zeros(n_arms)
+    full[arms] = value
+    return full
 
 
 def _arm_grad(g, arms):
@@ -110,30 +113,40 @@ def _arm_grad(g, arms):
     return (g if arms is None else g[arms])[..., None, None]
 
 
+def _node(core, heads, arms):
+    """A term's graph node over ``heads`` from its array core's ``(value,
+    backward)``; ``backward(g, *adds)`` hands each head its gradient."""
+    value, backward = core
+    out = Tensor._op(_padded(value, arms, heads[0].data.shape[0]), heads)
+    adds = [lambda g, t=t: _add_grad(t, arms, g) for t in heads]
+    out._backprop = lambda g: backward(g, *adds)
+    return out
+
+
+def _distill(z, teacher_feat, arms):
+    if isinstance(teacher_feat, Tensor):
+        teacher_feat = teacher_feat.data
+    target = np.asarray(teacher_feat, dtype=np.float64)
+    if z.shape[-2:] != target.shape:
+        raise ValueError(f"feature shapes differ: {z.shape} vs {target.shape}")
+    diff = _rows(z, arms) - target
+    s = 1.0 / target.size
+
+    def backward(g, add):
+        gd = _arm_grad(g, arms) * s * diff
+        add(gd + gd)
+
+    return _per_arm_sum(diff * diff) * s, backward
+
+
 def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
     """Mean squared gap to the teacher's features; teacher is a constant.
 
-    One graph node, with the bits of ``sum_all(mul(diff, diff)).scale(1/size)``.
+    One graph node, with the bits of ``scale(sum_all(mul(diff, diff)), 1/size)``.
     With an arm axis every arm in ``arms`` is compared with the same
     B-by-w teacher features.
     """
-    target = teacher_feat.data if isinstance(teacher_feat, Tensor) else np.asarray(
-        teacher_feat, dtype=np.float64
-    )
-    if student_feat.data.shape[-2:] != target.shape:
-        raise ValueError(
-            f"feature shapes differ: {student_feat.data.shape} vs {target.shape}"
-        )
-    diff = _rows(student_feat, arms) - target
-    s = 1.0 / target.size
-    out = _term(_per_arm_sum(diff * diff) * s, (student_feat,), arms)
-
-    def backprop(g):
-        gd = _arm_grad(g, arms) * s * diff
-        _add_grad(student_feat, arms, gd + gd)
-
-    out._backprop = backprop
-    return out
+    return _node(_distill(student_feat.data, teacher_feat, arms), (student_feat,), arms)
 
 
 def _cov_forward(X):
@@ -167,17 +180,55 @@ def _cov_backward(saved, g):
 def covariance(X: Tensor) -> Tensor:
     """Unbiased covariance 1/(n−1)·(XᵀX − (1/n)(1ᵀX)ᵀ(1ᵀX)) of row samples,
     as one graph node with the bits of that chain of ops."""
-    n = X.data.shape[0]
-    if X.data.ndim != 2 or n < 2:
+    if X.data.ndim != 2 or X.data.shape[0] < 2:
         raise ValueError("covariance needs a matrix with at least 2 rows")
     cov, saved = _cov_forward(X.data)
-    out = Tensor._op(cov, (X,))
+    return _node((cov, lambda g, add: add(_cov_backward(saved, g))), (X,), None)
 
-    def backprop(g):
-        X.grad += _cov_backward(saved, g)
 
-    out._backprop = backprop
-    return out
+def _coral(z, domain_ids, quota, arms):
+    """Alignment's array core: one ``_cov_forward`` call over the stacked
+    blocks of ``quota`` rows, or one per domain of ``domain_ids``."""
+    X = _rows(z, arms)
+    if quota is None:
+        rows = [np.flatnonzero(domain_ids == d) for d in np.unique(domain_ids)]
+        blocks = [X[..., r, :][..., None, :, :] for r in rows]
+    else:
+        rows = None
+        lead, width = X.shape[:-2], X.shape[-1]
+        blocks = [np.ascontiguousarray(X).reshape(lead + (-1, quota, width))]
+    sizes = [b.shape[-2] for b in blocks for _ in range(b.shape[-3])]
+    if len(sizes) < 2 or min(sizes) < 2:
+        raise ValueError(f"alignment needs >= 2 domains of >= 2 rows, got {sizes}")
+    calls = [_cov_forward(b) for b in blocks]
+    covs = [cov[..., k, :, :] for cov, _ in calls for k in range(cov.shape[-3])]
+    pairs = []
+    total = None
+    for i in range(len(covs)):
+        for j in range(i + 1, len(covs)):
+            diff = covs[i] - covs[j]
+            term = _per_arm_sum(diff * diff)
+            total = term if total is None else total + term
+            pairs.append((i, j, diff))
+    s = 1.0 / len(pairs)
+
+    def backward(g, add):
+        g = _arm_grad(g, arms) * s
+        stacks = [np.zeros_like(cov) for cov, _ in calls]
+        cov_grads = [gs[..., k, :, :] for gs in stacks for k in range(gs.shape[-3])]
+        for i, j, diff in pairs:
+            gd = g * diff
+            gd = gd + gd
+            cov_grads[i] += gd
+            cov_grads[j] -= gd
+        grads = [_cov_backward(saved, gs) for (_, saved), gs in zip(calls, stacks)]
+        # a reshape, or each row filled in from the one domain it lies in
+        gx = grads[0].reshape(X.shape) if rows is None else np.empty(X.shape)
+        for r, gr in zip(rows or (), grads):
+            gx[..., r, :] = gr[..., 0, :, :]
+        add(gx)
+
+    return total * s, backward
 
 
 def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
@@ -192,67 +243,59 @@ def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
     particular each covariance collects its pair gradients in forward pair
     order: from four domains on, any other order changes the rounding.
     With an arm axis the arms in ``arms`` are stacked through the same
-    steps, one domain at a time, so domains of unequal size still work.
+    steps. Domains of unequal size need no ``batch.quota``.
     """
     F = batch.features
-    present = np.unique(batch.domain_ids)
-    if present.size < 2:
-        raise ValueError("alignment needs at least 2 domains in the batch")
-    groups, covs = [], []
-    for d in present:
-        rows = np.flatnonzero(batch.domain_ids == d)
-        if rows.size < 2:
-            raise ValueError(f"domain {d} has {rows.size} sample(s); need >= 2")
-        at = (Ellipsis, rows, slice(None)) if arms is None else (arms[:, None], rows)
-        cov, saved = _cov_forward(F.data[at])
-        covs.append(cov)
-        groups.append((at, saved))
-    pairs = []
-    total = None
-    for i in range(len(covs)):
-        for j in range(i + 1, len(covs)):
-            diff = covs[i] - covs[j]
-            term = _per_arm_sum(diff * diff)
-            total = term if total is None else total + term
-            pairs.append((i, j, diff))
-    s = 1.0 / len(pairs)
-    out = _term(total * s, (F,), arms)
+    return _node(_coral(F.data, batch.domain_ids, batch.quota, arms), (F,), arms)
 
-    def backprop(g):
-        g = _arm_grad(g, arms) * s
-        cov_grads = [np.zeros_like(cov) for cov in covs]
-        for i, j, diff in pairs:
-            gd = g * diff
-            gd = gd + gd
-            cov_grads[i] += gd
-            cov_grads[j] -= gd
-        for (at, saved), gc in zip(groups, cov_grads):
-            F.grad[at] += _cov_backward(saved, gc)
 
-    out._backprop = backprop
-    return out
+def _explore_l2(z1, z2, arms):
+    if z1.shape != z2.shape:
+        raise ValueError(f"shapes differ: {z1.shape} vs {z2.shape}")
+    diff = _rows(z1, arms) - _rows(z2, arms)
+    s = -1.0 / z1.shape[-2]
+
+    def backward(g, add1, add2):
+        gd = _arm_grad(g, arms) * s * diff
+        gd = gd + gd
+        add1(gd)
+        add2(-gd)
+
+    return _per_arm_sum(diff * diff) * s, backward
 
 
 def exploration_l2(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     """Negative mean squared distance between paired rows (push apart).
 
     One graph node, with the bits of
-    ``sum_all(mul(d, d)).scale(-1/rows)`` with ``d = sub(z1, z2)``.
+    ``scale(sum_all(mul(d, d)), -1/rows)`` with ``d = sub(z1, z2)``.
     """
-    if z1.data.shape != z2.data.shape:
-        raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
-    diff = _rows(z1, arms) - _rows(z2, arms)
-    s = -1.0 / z1.data.shape[-2]
-    out = _term(_per_arm_sum(diff * diff) * s, (z1, z2), arms)
+    return _node(_explore_l2(z1.data, z2.data, arms), (z1, z2), arms)
 
-    def backprop(g):
-        gd = _arm_grad(g, arms) * s * diff
-        gd = gd + gd
-        _add_grad(z1, arms, gd)
-        _add_grad(z2, arms, -gd)
 
-    out._backprop = backprop
-    return out
+def _explore_norm_l1(z1, z2, arms):
+    if z1.shape != z2.shape:
+        raise ValueError(f"shapes differ: {z1.shape} vs {z2.shape}")
+    heads = []
+    for z in (z1, z2):
+        x = _rows(z, arms)
+        norms = np.sqrt((x * x).sum(axis=-1))
+        if np.any(norms <= 1e-12):
+            raise ValueError("zero-norm row; cannot normalize")
+        heads.append((x, norms, x / norms[..., None]))
+    diff = heads[0][2] - heads[1][2]
+    s = -1.0 / z1.shape[-2]
+
+    def backward(g, *adds):
+        g_diff = (_arm_grad(g, arms) * s + 0.0) * np.sign(diff) + 0.0
+        for (x, norms, _), g_unit, add in zip(heads, (g_diff, 0.0 - g_diff), adds):
+            add(g_unit / norms[..., None])
+            g_norms = 0.0 - (g_unit * x).sum(axis=-1) / (norms * norms)
+            g_square = (g_norms / (2.0 * norms) + 0.0)[..., None]
+            add(g_square * x)
+            add(g_square * x)
+
+    return _per_arm_sum(np.abs(diff)) * s, backward
 
 
 def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
@@ -262,46 +305,22 @@ def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     late in training the way the unbounded squared distance can.
 
     One graph node with the bits of the op chain ``rowwise_div(z,
-    sqrt(sum_rows(mul(z, z))))`` for each head, then ``sum_all(absolute(
-    diff)).scale(-1/rows)`` of their difference; the tests keep those ops as
-    its oracle. Its backward replays the chain's gradient steps in tape
-    order: each head takes its division's gradient, then its product's
-    two. A tape buffer starts at zero, so the ``+ 0.0`` below keep the
-    sign of zero that the chain's first ``+=`` gives.
+    sqrt(sum_rows(mul(z, z))))`` for each head, then ``scale(sum_all(
+    absolute(diff)), -1/rows)`` of their difference; the tests keep those
+    ops as its oracle. Its backward replays the chain's gradient steps in
+    tape order: each head takes its division's gradient, then its
+    product's two; the ``+ 0.0`` keep the sign of zero of a zeroed buffer.
     """
-    if z1.data.shape != z2.data.shape:
-        raise ValueError(f"shapes differ: {z1.data.shape} vs {z2.data.shape}")
-    heads = []
-    for z in (z1, z2):
-        x = _rows(z, arms)
-        norms = np.sqrt((x * x).sum(axis=-1))
-        if np.any(norms <= 1e-12):
-            raise ValueError("zero-norm row; cannot normalize")
-        heads.append((z, x, norms, x / norms[..., None]))
-    diff = heads[0][3] - heads[1][3]
-    s = -1.0 / z1.data.shape[-2]
-    out = _term(_per_arm_sum(np.abs(diff)) * s, (z1, z2), arms)
-
-    def backprop(g):
-        g_diff = (_arm_grad(g, arms) * s + 0.0) * np.sign(diff) + 0.0
-        for (z, x, norms, _), g_unit in zip(heads, (g_diff, 0.0 - g_diff)):
-            _add_grad(z, arms, g_unit / norms[..., None])
-            g_norms = 0.0 - (g_unit * x).sum(axis=-1) / (norms * norms)
-            g_square = (g_norms / (2.0 * norms) + 0.0)[..., None]
-            _add_grad(z, arms, g_square * x)
-            _add_grad(z, arms, g_square * x)
-
-    out._backprop = backprop
-    return out
+    return _node(_explore_norm_l1(z1.data, z2.data, arms), (z1, z2), arms)
 
 
-# (part, weight field, exploration variant) of each auxiliary term, in the
-# order the objective adds them
+# (part, weight field, exploration variant, array core, heads it reads) of
+# each auxiliary term, in the order the objective adds them
 _TERMS = (
-    ("mse", "lambda1", None),
-    ("align", "lambda2", None),
-    ("exp", "lambda3", "l2"),
-    ("exp", "lambda3", "norm_l1"),
+    ("mse", "lambda1", None, _distill, (0,)),
+    ("align", "lambda2", None, _coral, (1,)),
+    ("exp", "lambda3", "l2", _explore_l2, (0, 1)),
+    ("exp", "lambda3", "norm_l1", _explore_norm_l1, (0, 1)),
 )
 
 
@@ -311,8 +330,13 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     ``outputs`` carries .logits, .z1 (distilled half), .z2 (aligned half).
     ``w`` is a LossWeights; for outputs with a leading arm axis it is a
     sequence of them, one per arm, and each term runs on the arms that
-    weight it above zero. Zero-weight terms are not evaluated at all, so
-    their graph nodes never exist.
+    weight it above zero. Zero-weight terms are not evaluated at all.
+
+    The total is one graph node. Over a student's forward its only parent
+    is the net's node: its backward adds the logits' gradient and queues
+    each term's gradient of z1 and z2 on ``outputs.head_grads``, which the
+    net adds after the classifier's share, in the layer-by-layer tape's
+    order. Over other tensors it adds into their gradients directly.
 
     Returns (total, parts). Without an arm axis, total is a scalar Tensor
     and parts a dict of floats; with one, total holds one value per arm
@@ -322,30 +346,49 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     ws = w if stacked else (w,)
     if teacher_feat is None and any(x.lambda1 > 0 for x in ws):
         raise ValueError("distillation weight set but no teacher features given")
-    cls = softmax_cross_entropy(outputs.logits, batch.labels)
+    logits, z1, z2 = outputs.logits, outputs.z1, outputs.z2
+    queue = getattr(outputs, "head_grads", None)
+
+    def add_to(head, arms):  # where a term's gradient of a head goes
+        if queue is not None:
+            return lambda g: queue.append((head, arms, g))
+        t = (z1, z2)[head]
+        return lambda g: _add_grad(t, arms, g)
+
+    cls, cls_grad = _cross_entropy(logits.data, batch.labels)
     total = cls
     logged = [("cls", cls, range(len(ws)))]
-    for key, weight, variant in _TERMS:
+    terms = []
+    for key, weight, variant, core, heads in _TERMS:
         lams = [getattr(x, weight) if variant in (None, x.variant) else 0.0 for x in ws]
         on = [a for a, lam in enumerate(lams) if lam > 0]
         if not on:
             continue
         arms = None if len(on) == len(ws) else np.array(on)
         if key == "mse":
-            term = mse_distill(outputs.z1, teacher_feat, arms)
+            args = (z1.data, teacher_feat)
         elif key == "align":
-            term = coral_loss(DomainBatch(outputs.z2, batch.labels, batch.domain_ids), arms)
+            args = (z2.data, batch.domain_ids, batch.quota)
         else:
-            explore = exploration_l2 if variant == "l2" else exploration_norm_l1
-            term = explore(outputs.z1, outputs.z2, arms)
-        logged.append((key, term, on))
-        total = total + term.scale(np.array(lams) if stacked else lams[0])
+            args = (z1.data, z2.data)
+        value, backward = core(*args, arms)
+        value = _padded(value, arms, len(ws))
+        lam = np.array(lams) if stacked else lams[0]
+        total = total + value * lam
+        logged.append((key, value, on))
+        terms.append((backward, lam, [add_to(h, arms) for h in heads]))
     logged.append(("total", total, range(len(ws))))
-    if not stacked:
-        return total, {key: float(t.data) for key, t, _ in logged}
+    out = Tensor._op(total, (logits,) if queue is not None else (logits, z1, z2))
+
+    def backprop(g):
+        logits.grad += cls_grad(g)
+        for backward, lam, adds in terms:
+            backward(g * lam, *adds)
+
+    out._backprop = backprop
     parts = [{} for _ in ws]
-    for key, t, on in logged:
-        values = t.data.tolist()
+    for key, v, on in logged:
+        values = np.atleast_1d(v).tolist()
         for a in on:
             parts[a][key] = values[a]
-    return total, parts
+    return out, parts if stacked else parts[0]

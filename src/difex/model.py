@@ -24,11 +24,14 @@ Each net's parameters are laid out once, in ``_LAYOUTS``: every
 ``sizes`` (inputs, hidden, feature width, classes). Construction,
 ``params()``, both checkpoint functions and ``parameter_count`` read it.
 
-Each net defines its layers once, in ``_layers``. ``forward`` returns
-that graph for training; ``forward_np`` runs it on a throwaway graph,
-freed by reference counting on return (the tape is acyclic), and returns
-arrays. ``forward_np`` skips ``forward``, where the benchmark's tracer
-counts training rows.
+Each net's forward pass is one graph node over its parameters, built in
+``_layers`` on arrays with the input batch as a constant (no input
+gradient); its backward replays the layer-by-layer tape's gradient steps,
+so values and parameter gradients keep that tape's bits. The node holds
+the logits; the features come back as constants, and a loss hands the
+node its gradients of them through ``StudentOutputs.head_grads``.
+``forward_np`` runs the same arithmetic without the node, and skips
+``forward``, where the benchmark's tracer counts training rows.
 
 A ``StudentModel`` can also hold A members of one shape, trained in
 lockstep: ``StudentModel.stack`` lays their weights along a leading arm
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _check_finite, concat_cols, dense, quiet_overflow,
-                       squash_rows)
+from .autodiff import Tensor, _check_finite, quiet_overflow
 
 __all__ = [
     "TeacherModel",
@@ -76,6 +78,18 @@ def parameter_count(kind, sizes):
     return sum(math.prod(shape) for shape in _LAYOUTS[kind](*sizes).values())
 
 
+def _affine(x, w, b):
+    return x @ w.data + b.data[..., None, :]
+
+
+def _affine_backward(x, w, b, g, input_grad=True):
+    """Add b's and w's gradients from the output's ``g``; return x's."""
+    b.grad += g.sum(axis=-2)
+    gx = g @ w.data.swapaxes(-1, -2) if input_grad else None
+    w.grad += x.swapaxes(-1, -2) @ g
+    return gx
+
+
 class _Net:
     """Parameters in the kind's layout: weights He-normal from ``rng`` in
     layout order (zeros when ``rng`` is None), biases zero."""
@@ -92,10 +106,58 @@ class _Net:
     def params(self):
         return [getattr(self, name) for name in _LAYOUTS[self.kind](*self.sizes)]
 
+    @property
+    def arms(self):
+        """Members held: 1 for a plain model, A for a stack."""
+        return self.w1.data.shape[0] if self.w1.data.ndim == 3 else 1
+
+    def _layers(self, x):
+        """Each head's features on the rows of ``x``, the logits of their
+        concatenation, the heads' gradient queue and the node's backward."""
+        w1, b1, *heads, wc, bc = self.params()
+        if self.arms > 1:  # rows grouped by arm -> (A, B, in)
+            x = x.reshape(self.arms, -1, self.sizes[0])
+        a1 = _affine(x, w1, b1)
+        h = np.maximum(a1, 0.0)
+        feats, bounds = [], []
+        for w, b in zip(heads[::2], heads[1::2]):
+            z, grad = self._bound(_affine(h, w, b))
+            feats.append(z)
+            bounds.append((w, b, grad))
+        z = np.concatenate(feats, axis=-1)
+        queue = []
+
+        def backprop(g):
+            g_z = _affine_backward(z, wc, bc, g)
+            width = g_z.shape[-1] // len(bounds)
+            parts = [g_z[..., i * width:(i + 1) * width] for i in range(len(bounds))]
+            for head, arms, gh in queue:
+                parts[head][... if arms is None else arms] += gh
+            queue.clear()
+            g_h = [_affine_backward(h, w, b, grad(part))
+                   for (w, b, grad), part in zip(bounds, parts)]
+            g_a1 = sum(g_h[1:], g_h[0])
+            g_a1 *= a1 > 0.0  # in place: one more temporary page-faults lockstep steps
+            _affine_backward(x, w1, b1, g_a1, input_grad=False)
+
+        return feats, _affine(z, wc, bc), queue, backprop
+
     def forward(self, x: Tensor):
-        """Graph-building pass: the teacher's (features, logits); the
-        student's heads and logits over (A·B, in) rows grouped by arm."""
-        return self._layers(x)
+        """Graph-building pass: the teacher's (features, logits), the
+        student's ``StudentOutputs``; the logits are the net's node."""
+        feats, logits, queue, backprop = self._layers(x.data)
+        node = Tensor._op(logits, tuple(self.params()))
+        node._backprop = backprop
+        feats = [Tensor._op(z, ()) for z in feats]
+        if self.kind == "teacher":
+            return feats[0], node
+        return StudentOutputs(*feats, node, queue)
+
+    def forward_np(self, x: np.ndarray):
+        """The teacher's (features, logits) or the student's logits, as
+        arrays; (A, B, classes) for a stack."""
+        feats, logits, _, _ = self._layers(Tensor(x).data)
+        return (feats[0], logits) if self.kind == "teacher" else logits
 
 
 class TeacherModel(_Net):
@@ -104,24 +166,23 @@ class TeacherModel(_Net):
     kind = "teacher"
     input_kind = "phase"
 
-    def _layers(self, x: Tensor):
-        h = dense(x, self.w1, self.b1).relu()
-        feat = dense(h, self.w2, self.b2).tanh()
-        return feat, dense(feat, self.wc, self.bc)
-
-    def forward_np(self, x: np.ndarray):
-        """(features, logits) as arrays; the graph is dropped on return."""
-        feat, logits = self._layers(Tensor(x))
-        return feat.data, logits.data
+    @staticmethod
+    def _bound(u):
+        """tanh, and its backward."""
+        y = np.tanh(u)
+        return y, lambda g: g * (1.0 - y * y)
 
 
 @dataclass
 class StudentOutputs:
-    """z1 feeds distillation, z2 alignment; logits read [z1 | z2]."""
+    """z1 feeds distillation, z2 alignment; logits read [z1 | z2]. From
+    ``StudentModel.forward``, a loss queues its gradients of the constant
+    z1 (head 0) and z2 (head 1) on ``head_grads`` as (head, arms, grad)."""
 
     z1: Tensor
     z2: Tensor
     logits: Tensor
+    head_grads: list | None = None
 
 
 class StudentModel(_Net):
@@ -139,11 +200,6 @@ class StudentModel(_Net):
             raise ValueError(f"feature width d must be even, got {d}")
         super().__init__(in_dim, hidden, d, n_classes, rng)
         self.input_kind = input_kind
-
-    @property
-    def arms(self):
-        """Members held: 1 for a plain model, A for a stack."""
-        return self.w1.data.shape[0] if self.w1.data.ndim == 3 else 1
 
     @classmethod
     def stack(cls, members):
@@ -167,19 +223,19 @@ class StudentModel(_Net):
             p.data = q.data[a].copy()
         return out
 
-    def _layers(self, x: Tensor) -> StudentOutputs:
-        if self.arms > 1:  # rows grouped by arm -> (A, B, in)
-            x = Tensor._op(x.data.reshape(self.arms, -1, self.sizes[0]), ())
-        h = dense(x, self.w1, self.b1).relu()
-        z1 = squash_rows(dense(h, self.wz1, self.bz1))
-        z2 = squash_rows(dense(h, self.wz2, self.bz2))
-        logits = dense(concat_cols(z1, z2), self.wc, self.bc)
-        return StudentOutputs(z1=z1, z2=z2, logits=logits)
+    @staticmethod
+    def _bound(u):
+        """Each row scaled by 1/(1 + |row|) into the unit ball, and its
+        backward."""
+        r = np.sqrt((u * u).sum(axis=-1) + 1e-300)
+        s = 1.0 / (1.0 + r)
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Logits as an array, (A, B, classes) for a stack; the graph is
-        dropped on return."""
-        return self._layers(Tensor(x)).logits.data
+        def grad(g):
+            # d/du [s(r)·u] = s·I + (ds/dr)·u uᵀ/r, with ds/dr = −s²
+            coef = (g * u).sum(axis=-1) * s * s / r
+            return g * s[..., None] - u * coef[..., None]
+
+        return u * s[..., None], grad
 
 
 def predict(model, x):
@@ -267,8 +323,9 @@ def load_checkpoint(path):
     if len(blob) != expected:
         raise ValueError(f"checkpoint blob is {len(blob)} bytes, expected {expected}")
     table = header.get("shapes")
-    if not isinstance(table, list) or not all(isinstance(s, list) for s in table):
-        raise ValueError("checkpoint shape table must be a list of lists")
+    if not isinstance(table, list) or not all(  # ints, and a bool is no int here
+            isinstance(s, list) and all(type(v) is int for v in s) for s in table):
+        raise ValueError("checkpoint shape table must be lists of integers")
     layout = _LAYOUTS[kind](*dims)
     if [tuple(s) for s in table] != list(layout.values()):
         raise ValueError("checkpoint shape table does not match architecture")

@@ -3,7 +3,9 @@ combined objective; plus batching, splits, and the virtual-domain trick.
 
 Both stages run through one fit loop, ``_fit``, and one data set-up,
 ``_split_pool``; each stage brings only its own batching, as a per-epoch
-generator of ``(loss, parts)``.
+generator of ``(loss, parts)``. A step's graph holds the parameters, the
+net's node and its loss node (the cross-entropy or the objective), plus a
+``sum_all`` root over arms in lockstep.
 
 The students of several modes (the arms of an ablation) train in
 lockstep, in ``_train_arms``: one stacked ``StudentModel``, one graph,
@@ -333,8 +335,8 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     """Stage two: fit the split-head student on the combined objective.
 
     The teacher stays frozen; its features over the training pool are
-    computed once up front. Ablated terms are skipped, not zero-weighted,
-    so their graphs never exist.
+    computed once up front. Ablated terms are skipped, not zero-weighted:
+    they are never computed.
     """
     return _train_arms(sources, teacher, [cfg])[0]
 
@@ -359,9 +361,9 @@ def _train_arms(sources, teacher, cfgs) -> list:
     train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(
         eff_sources, cfg, input_kind
     )
-    dom_idx = np.concatenate(
-        [np.full(len(rows), i, dtype=np.intp) for i, rows in enumerate(domain_rows)]
-    )
+    # every batch is ``quota`` rows of each domain in turn (batch_index_stream)
+    quota = _domain_quota(cfg.batch_size, len(domain_rows))
+    domain_ids = np.repeat(np.arange(len(domain_rows)), quota)
     teacher_feat = None
     if distills:
         Xtr_phase, _, _ = _pool(train_list, "phase")
@@ -377,8 +379,9 @@ def _train_arms(sources, teacher, cfgs) -> list:
     def steps(epoch):
         rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
         for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
-            out = student.forward(Tensor(np.tile(Xtr[idx], (n_arms, 1))))
-            batch = DomainBatch(out.z2, ytr[idx], dom_idx[idx])
+            rows = Xtr[idx] if n_arms == 1 else np.tile(Xtr[idx], (n_arms, 1))
+            out = student.forward(Tensor(rows))
+            batch = DomainBatch(out.z2, ytr[idx], domain_ids, quota)
             tf = teacher_feat[idx] if teacher_feat is not None else None
             total, parts = total_objective(batch, tf, out, w)
             if n_arms == 1:

@@ -11,10 +11,7 @@ from difex.autodiff import (
     AdamW,
     NonFiniteError,
     Tensor,
-    concat_cols,
-    dense,
     softmax_cross_entropy,
-    squash_rows,
     sum_all,
 )
 from difex.losses import (
@@ -27,7 +24,7 @@ from difex.losses import (
     total_objective,
 )
 from difex.model import StudentModel
-from oracles import mul
+from oracles import add, concat_cols, dense, mul, relu, scale, squash_rows
 
 A = 5
 # domain ids of one balanced batch, as batch_index_stream lays them out
@@ -67,7 +64,7 @@ def test_dense_relu_squash_concat(name, width):
     up = rng.normal(size=(A, rows, 8))
 
     def layers(x, w1, b1, wa, ba, wb, bb):
-        h = dense(x, w1, b1).relu()
+        h = relu(dense(x, w1, b1))
         return concat_cols(squash_rows(dense(h, wa, ba)), squash_rows(dense(h, wb, bb)))
 
     out = layers(x, w1, b1, wa, ba, wb, bb)
@@ -90,10 +87,10 @@ def test_cross_entropy_gives_one_mean_per_arm(name):
     weights = rng.uniform(0.5, 2.0, size=A)
     ce = softmax_cross_entropy(logits, labels)
     assert ce.data.shape == (A,)
-    sum_all(ce.scale(weights)).backward()
+    sum_all(scale(ce, weights)).backward()
     for a in range(A):
         want = softmax_cross_entropy(per_arm[a], labels)
-        want.scale(weights[a]).backward()
+        scale(want, weights[a]).backward()
         assert ce.data[a] == want.data
         assert np.array_equal(logits.grad[a], per_arm[a].grad)
 
@@ -107,16 +104,16 @@ def run_term(term, feats, arms, rng):
     value = term(stack, None if arms is None else np.array(arms))
     earlier = sum_all(mul(stack[0], Tensor(ups[0])))
     for t, up in zip(stack[1:], ups[1:]):
-        earlier = earlier + sum_all(mul(t, Tensor(up)))
-    (earlier + sum_all(value.scale(0.3))).backward()
+        earlier = add(earlier, sum_all(mul(t, Tensor(up))))
+    add(earlier, sum_all(scale(value, 0.3))).backward()
     alone = {}
     for a in range(A) if arms is None else arms:
         leaves = [Tensor(f[a]) for f in feats]
         v = term(leaves, None)
         earlier = sum_all(mul(leaves[0], Tensor(ups[0][a])))
         for t, up in zip(leaves[1:], ups[1:]):
-            earlier = earlier + sum_all(mul(t, Tensor(up[a])))
-        (earlier + v.scale(0.3)).backward()
+            earlier = add(earlier, sum_all(mul(t, Tensor(up[a]))))
+        add(earlier, scale(v, 0.3)).backward()
         alone[a] = (v.data, [t.grad for t in leaves])
     return value, alone, stack, ups
 

@@ -19,9 +19,11 @@ from difex.losses import (
 )
 from oracles import (
     absolute,
+    add,
     covariance_chain,
     mul,
     rowwise_div,
+    scale,
     sqrt,
     sub,
     sum_rows,
@@ -62,7 +64,7 @@ def test_covariance_is_bit_identical_to_the_op_chain():
         for cov in (covariance, covariance_chain):
             x = Tensor(x0)
             out = cov(x)
-            (sum_all(mul(out, Tensor(up))) + sum_all(mul(x, x))).backward()
+            add(sum_all(mul(out, Tensor(up))), sum_all(mul(x, x))).backward()
             results.append((out.data, x.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
@@ -198,8 +200,8 @@ def coral_chain(batch: DomainBatch):
         for j in range(i + 1, len(covs)):
             diff = sub(covs[i], covs[j])
             term = sum_all(mul(diff, diff))
-            total = term if total is None else total + term
-    return total.scale(1.0 / (len(covs) * (len(covs) - 1) // 2))
+            total = term if total is None else add(total, term)
+    return scale(total, 1.0 / (len(covs) * (len(covs) - 1) // 2))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -215,7 +217,7 @@ def test_alignment_is_bit_identical_to_the_op_chain(k):
     for align in (coral_loss, coral_chain):
         leaf = Tensor(f0)
         loss = align(batch_of_tensor(leaf, ids))
-        total = loss.scale(0.7) + sum_all(mul(leaf, Tensor(const)))
+        total = add(scale(loss, 0.7), sum_all(mul(leaf, Tensor(const))))
         total.backward()
         results.append((loss.data, leaf.grad))
     (fused, fused_grad), (chain, chain_grad) = results
@@ -404,11 +406,11 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
 
     def mse_chain(a, b):
         diff = sub(a, Tensor(t))
-        return sum_all(mul(diff, diff)).scale(1.0 / t.size)
+        return scale(sum_all(mul(diff, diff)), 1.0 / t.size)
 
     def exploration_chain(a, b):
         diff = sub(a, b)
-        return sum_all(mul(diff, diff)).scale(-1.0 / a.data.shape[0])
+        return scale(sum_all(mul(diff, diff)), -1.0 / a.data.shape[0])
 
     pairs = (
         (lambda a, b: mse_distill(a, t), mse_chain),
@@ -419,7 +421,7 @@ def test_distill_and_exploration_are_bit_identical_to_the_op_chains():
         for term in (fused, chain):
             a, b = Tensor(a0), Tensor(b0)
             loss = term(a, b)
-            (loss.scale(0.3) + sum_all(mul(a, b))).backward()
+            add(scale(loss, 0.3), sum_all(mul(a, b))).backward()
             results.append((loss.data, a.grad, b.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
@@ -429,7 +431,7 @@ def norm_l1_chain(z1, z2):
     """exploration_norm_l1 as the op chain it was before it became one node."""
     normed = [rowwise_div(z, sqrt(sum_rows(mul(z, z)))) for z in (z1, z2)]
     diff = sub(normed[0], normed[1])
-    return sum_all(absolute(diff)).scale(-1.0 / z1.data.shape[0])
+    return scale(sum_all(absolute(diff)), -1.0 / z1.data.shape[0])
 
 
 @pytest.mark.parametrize("first", ["term", "other"])
@@ -443,10 +445,10 @@ def test_norm_l1_is_bit_identical_to_the_op_chain(first):
     results = []
     for term in (exploration_norm_l1, norm_l1_chain):
         a, b = Tensor(a0), Tensor(b0)
-        other = sum_all(mul(a, Tensor(c))) + sum_all(mul(b, Tensor(c)))
+        other = add(sum_all(mul(a, Tensor(c))), sum_all(mul(b, Tensor(c))))
         loss = term(a, b)
-        root = (loss.scale(0.3) + other if first == "term"
-                else other + loss.scale(0.3))
+        root = (add(scale(loss, 0.3), other) if first == "term"
+                else add(other, scale(loss, 0.3)))
         root.backward()
         results.append((loss.data, a.grad, b.grad))
     for got, want in zip(*results):

@@ -264,11 +264,14 @@ def test_checkpoint_rejects_unknown_kind(tmp_path):
 
 
 def test_checkpoint_rejects_shape_table_mismatch(tmp_path):
-    m = StudentModel(6, 4, 4, 2, rng_for(20))
+    # a wrong size; the right sizes as floats; each 1 written as true
     path = tmp_path / "s.ckpt"
-    save_checkpoint(m, path)
-    header, blob = split_checkpoint(path)
-    header["shapes"][0] = [5, 4]
-    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-    with pytest.raises(ValueError, match="shape"):
-        load_checkpoint(path)
+    for classes, edit in ((2, lambda t: [[5, 4]] + t[1:]),
+                          (2, lambda t: [[float(v) for v in s] for s in t]),
+                          (1, lambda t: [[v == 1 or v for v in s] for s in t])):
+        save_checkpoint(StudentModel(6, 4, 4, classes, rng_for(20)), path)
+        header, blob = split_checkpoint(path)
+        header["shapes"] = edit(header["shapes"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(path)

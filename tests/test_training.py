@@ -148,9 +148,9 @@ def test_batches_take_equal_quota_per_domain():
     seen = []
     for b in batches:
         assert b.size == 6
-        assert np.sum(b < 9) == 2
-        assert np.sum((9 <= b) & (b < 16)) == 2
-        assert np.sum(b >= 16) == 2
+        # quota rows of each domain in turn: the layout the student's
+        # DomainBatch declares once per run
+        assert np.array_equal(np.digitize(b, [9, 16]), np.repeat([0, 1, 2], 2))
         seen.extend(b.tolist())
     assert len(set(seen)) == len(seen)  # without replacement
 
