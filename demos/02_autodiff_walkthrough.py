@@ -31,6 +31,10 @@ print("loss = cross-entropy(teacher(x)), one node for the whole net")
 print("value:", round(float(loss.data), 6))
 print("parents of the net's node:", len(logits._parents), "parameters")
 print("dloss/dw1:\n", net.w1.grad.round(6))
+print("every parameter and its gradient are views of two vectors of",
+      net.vector.size, "floats:",
+      all(np.shares_memory(p.data, net.vector) and np.shares_memory(p.grad, net.grad)
+          for p in net.params()))
 
 
 # scene 2: the same gradient from finite differences of the loss

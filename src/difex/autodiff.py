@@ -12,7 +12,10 @@ graph is freed by reference counting as soon as its loss is dropped,
 without a pass of the cyclic garbage collector.
 
 Everything is 64-bit and single-threaded; tensors are treated as immutable
-once created (the optimizer is the only mutator, between graphs).
+once created (the optimizer is the only mutator, between graphs). A
+gradient buffer a tensor already has is zeroed in place by ``backward``:
+a net's parameters keep theirs as views of one gradient vector, and
+``AdamW`` updates the parameter vector in place.
 
 A training step's graph holds the parameters, one node for the net's
 forward pass (``model``) and one for its loss: ``softmax_cross_entropy``
@@ -25,14 +28,17 @@ arm's slice of a result and of a gradient has the bits the same op gives
 on that arm's 2-D operands.
 
 Finiteness is checked at the edges of a step, not at every node: a
-``Tensor`` built from outside data rejects NaN/Inf, ``backward`` rejects a
-non-finite loss before it runs, and ``AdamW.step`` rejects a non-finite
-update before writing it back. Op outputs skip the check, since a
-non-finite intermediate either reaches the loss or poisons a gradient
-and so the parameters.
+``Tensor`` built from outside data rejects NaN/Inf (a training run checks
+its pooled rows once and builds each batch with ``Tensor._op``),
+``backward`` rejects a non-finite loss before it runs, and ``AdamW.step``
+rejects a non-finite update before writing it in. Op outputs skip the
+check, since a non-finite intermediate either reaches the loss or poisons
+a gradient and so the parameters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,6 +56,9 @@ __all__ = [
 
 class NonFiniteError(ArithmeticError):
     """A NaN or Inf appeared in a tensor; the computation is invalid."""
+
+
+_sum = np.add.reduce  # ndarray.sum without its Python-level wrapper
 
 
 def _check_finite(arr, context):
@@ -83,7 +92,8 @@ class Tensor:
 
     @classmethod
     def _op(cls, data, parents):
-        """Output of an op: no finite check, ``_backprop`` set by the caller."""
+        """Output of an op, or rows of checked data: no finite check,
+        ``_backprop`` set by the caller."""
         out = cls.__new__(cls)
         out.data = np.asarray(data)  # numpy reductions return scalars
         out.grad = None
@@ -97,11 +107,16 @@ class Tensor:
         """Populate ``grad`` on every tensor reachable from this scalar."""
         if self.data.size != 1:
             raise ValueError("backward root must be a scalar")
-        _check_finite(self.data, "loss")
+        if not math.isfinite(self.data.item()):
+            raise NonFiniteError("non-finite values in loss")
         topo = _topo_order(self)
         for node in topo:  # all tape data is float64
-            node.grad = np.zeros(node.data.shape)
-        self.grad = np.ones_like(self.data)
+            g = node.grad
+            if g is not None and g.shape == node.data.shape:
+                g.fill(0.0)
+            else:
+                node.grad = np.zeros(node.data.shape)
+        self.grad = np.ones(self.data.shape)
         for node in reversed(topo):
             if node._backprop is not None:
                 node._backprop(node.grad)
@@ -140,20 +155,23 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def _cross_entropy(logits, labels):
-    """Cross-entropy of the ``logits`` array and its backward, on arrays."""
+def _check_labels(labels, n, c):
+    """``labels`` as intp: ``n`` of them, each a class below ``c``."""
     labels = np.asarray(labels, dtype=np.intp)
-    if logits.ndim not in (2, 3):
-        raise ValueError("softmax_cross_entropy expects B-by-C logits")
-    n, c = logits.shape[-2:]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return labels
+
+
+def _cross_entropy(logits, labels, rows):
+    """Cross-entropy of the ``logits`` array and its backward, on arrays:
+    ``labels`` are checked, ``rows`` is ``np.arange`` of the batch."""
+    n = logits.shape[-2]
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1)
+    total = _sum(e, axis=-1)
     losses = np.log(total) - shifted[..., rows, labels]
 
     def grad(g):
@@ -161,7 +179,7 @@ def _cross_entropy(logits, labels):
         p[..., rows, labels] -= 1.0
         return g[..., None, None] * p / n
 
-    return losses.mean(axis=-1), grad
+    return _sum(losses, axis=-1) / n, grad  # the bits of losses.mean()
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -169,7 +187,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     With an arm axis, logits are (A, B, C), every arm is scored on the
     same B labels, and the result holds one mean per arm."""
-    value, grad = _cross_entropy(logits.data, labels)
+    if logits.data.ndim not in (2, 3):
+        raise ValueError("softmax_cross_entropy expects B-by-C logits")
+    n, c = logits.data.shape[-2:]
+    labels = _check_labels(labels, n, c)
+    value, grad = _cross_entropy(logits.data, labels, np.arange(n))
     out = Tensor._op(value, (logits,))
 
     def backprop(g):
@@ -190,11 +212,35 @@ def backward(loss: Tensor, params=None):
 # -- optimization --------------------------------------------------------
 
 
+def _lay_out(tensors):
+    """The two vectors that the tensors' data and gradients are views of,
+    in one order: a net's own, when every tensor is one of its parameters,
+    else new ones the values are moved into (a missing gradient is zero)."""
+    size = sum(t.data.size for t in tensors)
+    x, g = tensors[0].data.base, getattr(tensors[0].grad, "base", None)
+    if (isinstance(x, np.ndarray) and isinstance(g, np.ndarray)
+            and x.size == g.size == size
+            and all(t.data.base is x and getattr(t.grad, "base", None) is g
+                    for t in tensors)):
+        return x, g
+    x, g, at = np.zeros(size), np.zeros(size), 0
+    for t in tensors:
+        xv, gv = (v[at:at + t.data.size].reshape(t.data.shape) for v in (x, g))
+        xv[...] = t.data
+        if t.grad is not None:
+            gv[...] = t.grad
+        t.data, t.grad, at = xv, gv, at + t.data.size
+    return x, g
+
+
 class AdamW:
     """Adaptive-moment update with decoupled weight decay.
 
     Defaults follow the common recipe: lr 1e-3, decay 5e-4, betas
     (0.9, 0.999), eps 1e-8, with bias-corrected moments.
+
+    The parameters and their gradients are updated as two flat vectors
+    (``_lay_out``): a net's own, or new ones the parameters are moved into.
     """
 
     def __init__(self, params, lr=1e-3, weight_decay=5e-4, betas=(0.9, 0.999), eps=1e-8):
@@ -204,40 +250,53 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        size = sum(p.data.size for p in self.params)
-        self.m = np.zeros(size)  # first moments, parameters laid end to end
-        self.v = np.zeros(size)
-        # the gathered gradient, two work vectors and the next moments
-        self._g, self._a, self._b, self._m, self._v = np.empty((5, size))
+        self._x, self._g = _lay_out(self.params)
+        self._xs = [p.data for p in self.params]
+        self._gs = [p.grad for p in self.params]
+        self.m = np.zeros(self._x.size)  # first moments, parameters laid end to end
+        self.v = np.zeros(self._x.size)
+        # the next parameters, a work vector, the denominator, the next moments
+        self._next, self._a, self._b, self._m, self._v = np.empty((5, self._x.size))
+
+    def _sync(self):
+        """Copy a parameter that a caller rebound, or a gradient that is not
+        its view (None steps on zero), into its place in the vectors."""
+        for p, x, g in zip(self.params, self._xs, self._gs):
+            if p.data is not x:
+                if p.data.shape != x.shape:
+                    raise ValueError("parameter shape changed")
+                x[...], p.data = p.data, x
+            if p.grad is not g:
+                if p.grad is not None and p.grad.shape != g.shape:
+                    raise ValueError("gradient/parameter shape mismatch")
+                g[...], p.grad = 0.0 if p.grad is None else p.grad, g
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self._g.fill(0.0)
+        for p, g in zip(self.params, self._gs):
+            p.grad = g
 
     def step(self):
-        """One update of every parameter as a single flat vector.
+        """One update of the parameter vector, in place.
 
-        Parameters and gradients are gathered afresh each step, so a
-        caller may reassign ``p.data`` between steps. Every intermediate
-        lands in a buffer kept between steps, in the order of operations
-        of ``x -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``. A non-finite result
-        raises before anything is written back: parameters, moments and
-        step count stay as they were.
+        A parameter that a caller rebound between steps, or a gradient set
+        by hand, is first copied into its place. Every intermediate lands
+        in a buffer kept between steps, in the order of operations of
+        ``x -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``. The new parameters are
+        computed into a second vector and copied in only once they are all
+        finite: a non-finite result raises with parameters, moments and
+        step count as they were.
         """
-        grads = []
-        for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            grads.append(g.ravel())
-        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
-        np.concatenate(grads, out=g)
-        x = np.concatenate([p.data.ravel() for p in self.params])
+        self._sync()
+        x, g, a, b, new = self._x, self._g, self._a, self._b, self._next
+        m, v = self._m, self._v
         t = self.t + 1
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        decayed = x
         if self.weight_decay:
-            x -= np.multiply(x, self.lr * self.weight_decay, out=a)
+            np.multiply(x, self.lr * self.weight_decay, out=a)
+            decayed = np.subtract(x, a, out=new)
         np.subtract(g, self.m, out=a)
         a *= 1.0 - self.beta1
         np.add(self.m, a, out=m)
@@ -251,16 +310,12 @@ class AdamW:
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        x -= a
-        _check_finite(x, "parameter after optimizer step")
+        np.subtract(decayed, a, out=new)
+        _check_finite(new, "parameter after optimizer step")
+        x[...] = new
         self.t = t
         self.m, self._m = m, self.m
         self.v, self._v = v, self.v
-        offset = 0
-        for p in self.params:
-            n = p.data.size
-            p.data = x[offset : offset + n].reshape(p.data.shape)
-            offset += n
 
 
 # -- the gradient oracle -------------------------------------------------

@@ -19,11 +19,11 @@ its standalone graph does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _cross_entropy
+from .autodiff import Tensor, _check_labels, _cross_entropy, _sum
 
 __all__ = [
     "LossWeights",
@@ -73,6 +73,7 @@ class DomainBatch:
     labels: np.ndarray
     domain_ids: np.ndarray
     quota: int | None = None
+    rows: np.ndarray = field(init=False, repr=False)  # np.arange of the rows
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.intp)
@@ -80,6 +81,7 @@ class DomainBatch:
         b = self.features.data.shape[-2]  # rows, after an arm axis if any
         if self.labels.shape != (b,) or self.domain_ids.shape != (b,):
             raise ValueError("labels/domain_ids must match the batch dimension")
+        self.rows = np.arange(b)
 
 
 def _rows(x, arms):  # the rows of ``arms`` (all of them when None)
@@ -96,7 +98,7 @@ def _add_grad(t: Tensor, arms, g):
 def _per_arm_sum(a):
     """Sum of each arm's matrix: the pairwise sum that ``a.sum()`` runs on
     one contiguous matrix, once per arm."""
-    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+    return _sum(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
 
 
 def _padded(value, arms, n_arms):
@@ -188,7 +190,8 @@ def covariance(X: Tensor) -> Tensor:
 
 def _coral(z, domain_ids, quota, arms):
     """Alignment's array core: one ``_cov_forward`` call over the stacked
-    blocks of ``quota`` rows, or one per domain of ``domain_ids``."""
+    blocks of ``quota`` rows, or one per domain of ``domain_ids``; the
+    pair terms in one stack, summed in pair order."""
     X = _rows(z, arms)
     if quota is None:
         rows = [np.flatnonzero(domain_ids == d) for d in np.unique(domain_ids)]
@@ -201,34 +204,29 @@ def _coral(z, domain_ids, quota, arms):
     if len(sizes) < 2 or min(sizes) < 2:
         raise ValueError(f"alignment needs >= 2 domains of >= 2 rows, got {sizes}")
     calls = [_cov_forward(b) for b in blocks]
-    covs = [cov[..., k, :, :] for cov, _ in calls for k in range(cov.shape[-3])]
-    pairs = []
-    total = None
-    for i in range(len(covs)):
-        for j in range(i + 1, len(covs)):
-            diff = covs[i] - covs[j]
-            term = _per_arm_sum(diff * diff)
-            total = term if total is None else total + term
-            pairs.append((i, j, diff))
+    covs = calls[0][0] if rows is None else np.concatenate([c for c, _ in calls], axis=-3)
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
+    first, second = np.array(pairs).T
+    diffs = covs[..., first, :, :] - covs[..., second, :, :]
+    terms = _sum((diffs * diffs).reshape(diffs.shape[:-2] + (-1,)), axis=-1)
     s = 1.0 / len(pairs)
 
     def backward(g, add):
-        g = _arm_grad(g, arms) * s
-        stacks = [np.zeros_like(cov) for cov, _ in calls]
-        cov_grads = [gs[..., k, :, :] for gs in stacks for k in range(gs.shape[-3])]
-        for i, j, diff in pairs:
-            gd = g * diff
-            gd = gd + gd
-            cov_grads[i] += gd
-            cov_grads[j] -= gd
-        grads = [_cov_backward(saved, gs) for (_, saved), gs in zip(calls, stacks)]
-        # a reshape, or each row filled in from the one domain it lies in
-        gx = grads[0].reshape(X.shape) if rows is None else np.empty(X.shape)
-        for r, gr in zip(rows or (), grads):
-            gx[..., r, :] = gr[..., 0, :, :]
+        gd = (_arm_grad(g, arms) * s)[..., None] * diffs
+        gd += gd
+        cov_grads = np.zeros(covs.shape)
+        for k, (i, j) in enumerate(pairs):
+            cov_grads[..., i, :, :] += gd[..., k, :, :]
+            cov_grads[..., j, :, :] -= gd[..., k, :, :]
+        if rows is None:  # a reshape, or each row filled in from its domain
+            add(_cov_backward(calls[0][1], cov_grads).reshape(X.shape))
+            return
+        gx = np.empty(X.shape)
+        for k, (r, (_, saved)) in enumerate(zip(rows, calls)):
+            gx[..., r, :] = _cov_backward(saved, cov_grads[..., k, None, :, :])[..., 0, :, :]
         add(gx)
 
-    return total * s, backward
+    return np.add.accumulate(terms, axis=-1)[..., -1] * s, backward
 
 
 def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
@@ -279,7 +277,7 @@ def _explore_norm_l1(z1, z2, arms):
     heads = []
     for z in (z1, z2):
         x = _rows(z, arms)
-        norms = np.sqrt((x * x).sum(axis=-1))
+        norms = np.sqrt(_sum(x * x, axis=-1))
         if np.any(norms <= 1e-12):
             raise ValueError("zero-norm row; cannot normalize")
         heads.append((x, norms, x / norms[..., None]))
@@ -290,7 +288,7 @@ def _explore_norm_l1(z1, z2, arms):
         g_diff = (_arm_grad(g, arms) * s + 0.0) * np.sign(diff) + 0.0
         for (x, norms, _), g_unit, add in zip(heads, (g_diff, 0.0 - g_diff), adds):
             add(g_unit / norms[..., None])
-            g_norms = 0.0 - (g_unit * x).sum(axis=-1) / (norms * norms)
+            g_norms = 0.0 - _sum(g_unit * x, axis=-1) / (norms * norms)
             g_square = (g_norms / (2.0 * norms) + 0.0)[..., None]
             add(g_square * x)
             add(g_square * x)
@@ -324,6 +322,28 @@ _TERMS = (
 )
 
 
+class _Plan:
+    """The objective for one LossWeights, or a sequence of them (one per
+    arm), worked out once: which terms run, on which arms, with which
+    weights, into which heads. A training run makes one and hands it to
+    ``total_objective`` in place of the weights, having checked every
+    label of its batches once."""
+
+    def __init__(self, w):
+        self.stacked = not isinstance(w, LossWeights)
+        ws = list(w) if self.stacked else [w]
+        self.arms = range(len(ws))
+        self.distills = any(x.lambda1 > 0 for x in ws)
+        self.terms = []  # (part, core, heads, arms or None for all, arms on, weight)
+        for key, weight, variant, core, heads in _TERMS:
+            lams = [getattr(x, weight) if variant in (None, x.variant) else 0.0 for x in ws]
+            on = [a for a, lam in enumerate(lams) if lam > 0]
+            if on:
+                arms = None if len(on) == len(ws) else np.array(on)
+                lam = np.array(lams) if self.stacked else lams[0]
+                self.terms.append((key, core, heads, arms, on, lam))
+
+
 def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     """Weighted sum of the active terms, plus their values for logging.
 
@@ -342,11 +362,16 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     and parts a dict of floats; with one, total holds one value per arm
     and parts is a list of one such dict per arm.
     """
-    stacked = not isinstance(w, LossWeights)
-    ws = w if stacked else (w,)
-    if teacher_feat is None and any(x.lambda1 > 0 for x in ws):
-        raise ValueError("distillation weight set but no teacher features given")
     logits, z1, z2 = outputs.logits, outputs.z1, outputs.z2
+    if isinstance(w, _Plan):  # a training run's: its labels are checked
+        plan = w
+    else:
+        plan = _Plan(w)
+        if logits.data.ndim not in (2, 3):
+            raise ValueError("softmax_cross_entropy expects B-by-C logits")
+        _check_labels(batch.labels, *logits.data.shape[-2:])
+    if teacher_feat is None and plan.distills:
+        raise ValueError("distillation weight set but no teacher features given")
     queue = getattr(outputs, "head_grads", None)
 
     def add_to(head, arms):  # where a term's gradient of a head goes
@@ -355,16 +380,11 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
         t = (z1, z2)[head]
         return lambda g: _add_grad(t, arms, g)
 
-    cls, cls_grad = _cross_entropy(logits.data, batch.labels)
+    cls, cls_grad = _cross_entropy(logits.data, batch.labels, batch.rows)
     total = cls
-    logged = [("cls", cls, range(len(ws)))]
+    logged = [("cls", cls, plan.arms)]
     terms = []
-    for key, weight, variant, core, heads in _TERMS:
-        lams = [getattr(x, weight) if variant in (None, x.variant) else 0.0 for x in ws]
-        on = [a for a, lam in enumerate(lams) if lam > 0]
-        if not on:
-            continue
-        arms = None if len(on) == len(ws) else np.array(on)
+    for key, core, heads, arms, on, lam in plan.terms:
         if key == "mse":
             args = (z1.data, teacher_feat)
         elif key == "align":
@@ -372,12 +392,11 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
         else:
             args = (z1.data, z2.data)
         value, backward = core(*args, arms)
-        value = _padded(value, arms, len(ws))
-        lam = np.array(lams) if stacked else lams[0]
+        value = _padded(value, arms, len(plan.arms))
         total = total + value * lam
         logged.append((key, value, on))
         terms.append((backward, lam, [add_to(h, arms) for h in heads]))
-    logged.append(("total", total, range(len(ws))))
+    logged.append(("total", total, plan.arms))
     out = Tensor._op(total, (logits,) if queue is not None else (logits, z1, z2))
 
     def backprop(g):
@@ -386,9 +405,11 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
             backward(g * lam, *adds)
 
     out._backprop = backprop
-    parts = [{} for _ in ws]
+    if not plan.stacked:
+        return out, {key: float(v) for key, v, _ in logged}
+    parts = [{} for _ in plan.arms]
     for key, v, on in logged:
         values = np.atleast_1d(v).tolist()
         for a in on:
             parts[a][key] = values[a]
-    return out, parts if stacked else parts[0]
+    return out, parts

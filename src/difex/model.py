@@ -23,13 +23,20 @@ Each net's parameters are laid out once, in ``_LAYOUTS``: every
 (name, shape), in declaration and checkpoint order, from the net's four
 ``sizes`` (inputs, hidden, feature width, classes). Construction,
 ``params()``, both checkpoint functions and ``parameter_count`` read it.
+A step's weights live in one float64 ``vector`` per net, in that order,
+so it reads as the checkpoint blob, and their gradients in one ``grad``
+vector: every parameter's ``data`` and ``grad`` are views of the two,
+which ``autodiff.AdamW`` updates in place.
 
 Each net's forward pass is one graph node over its parameters, built in
 ``_layers`` on arrays with the input batch as a constant (no input
 gradient); its backward replays the layer-by-layer tape's gradient steps,
-so values and parameter gradients keep that tape's bits. The node holds
-the logits; the features come back as constants, and a loss hands the
-node its gradients of them through ``StudentOutputs.head_grads``.
+adding into the gradient views, so values and parameter gradients keep
+that tape's bits. The node holds the logits; the features come back as
+constants, and a loss hands the node its gradients of them through
+``StudentOutputs.head_grads``. Neither pass checks finiteness: ``predict``
+checks the logits it reads, and training checks its rows once per run,
+its loss each step and its updated weights.
 ``forward_np`` runs the same arithmetic without the node, and skips
 ``forward``, where the benchmark's tracer counts training rows.
 
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _check_finite, quiet_overflow
+from .autodiff import Tensor, _check_finite, _lay_out, _sum, quiet_overflow
 
 __all__ = [
     "TeacherModel",
@@ -78,13 +85,15 @@ def parameter_count(kind, sizes):
     return sum(math.prod(shape) for shape in _LAYOUTS[kind](*sizes).values())
 
 
-def _affine(x, w, b):
-    return x @ w.data + b.data[..., None, :]
+def _affine(x, w, b, out=None):
+    """``x @ w + b``, into ``out`` when given."""
+    y = x @ w.data
+    return np.add(y, b.data[..., None, :], out=y if out is None else out)
 
 
 def _affine_backward(x, w, b, g, input_grad=True):
     """Add b's and w's gradients from the output's ``g``; return x's."""
-    b.grad += g.sum(axis=-2)
+    b.grad += _sum(g, axis=-2)
     gx = g @ w.data.swapaxes(-1, -2) if input_grad else None
     w.grad += x.swapaxes(-1, -2) @ g
     return gx
@@ -96,15 +105,25 @@ class _Net:
 
     def __init__(self, in_dim, hidden, width, n_classes, rng):
         self.sizes = (in_dim, hidden, width, n_classes)
-        for name, shape in _LAYOUTS[self.kind](*self.sizes).items():
+        params = []
+        for shape in _LAYOUTS[self.kind](*self.sizes).values():
             if rng is None or len(shape) == 1:
-                data = np.zeros(shape)
+                params.append(Tensor(np.zeros(shape)))
             else:
-                data = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
-            setattr(self, name, Tensor(data))
+                params.append(Tensor(rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)))
+        self._hold(params)
+
+    def _hold(self, params):
+        """Take ``params`` in layout order, their data and gradients laid
+        out in the net's ``vector`` and ``grad``: each parameter's block in
+        turn ((arms, ...) for a stack), so ``vector`` reads as the checkpoint."""
+        self._params = tuple(params)
+        for name, p in zip(_LAYOUTS[self.kind](*self.sizes), params):
+            setattr(self, name, p)
+        self.vector, self.grad = _lay_out(params)
 
     def params(self):
-        return [getattr(self, name) for name in _LAYOUTS[self.kind](*self.sizes)]
+        return list(self._params)
 
     @property
     def arms(self):
@@ -113,40 +132,43 @@ class _Net:
 
     def _layers(self, x):
         """Each head's features on the rows of ``x``, the logits of their
-        concatenation, the heads' gradient queue and the node's backward."""
-        w1, b1, *heads, wc, bc = self.params()
+        concatenation, the heads' gradient queue and the node's backward.
+
+        The heads' pre-activations sit side by side in one (..., rows,
+        head, width) array, so one bound and its backward serve them all
+        and the concatenation is a reshape."""
+        w1, b1, *heads, wc, bc = self._params
         if self.arms > 1:  # rows grouped by arm -> (A, B, in)
             x = x.reshape(self.arms, -1, self.sizes[0])
         a1 = _affine(x, w1, b1)
         h = np.maximum(a1, 0.0)
-        feats, bounds = [], []
-        for w, b in zip(heads[::2], heads[1::2]):
-            z, grad = self._bound(_affine(h, w, b))
-            feats.append(z)
-            bounds.append((w, b, grad))
-        z = np.concatenate(feats, axis=-1)
+        n = len(heads) // 2
+        u = np.empty(a1.shape[:-1] + (n, self.sizes[2] // n))
+        for k in range(n):
+            _affine(h, heads[2 * k], heads[2 * k + 1], out=u[..., k, :])
+        zz, grad = self._bound(u)
+        z = zz.reshape(a1.shape[:-1] + (-1,))
         queue = []
 
         def backprop(g):
-            g_z = _affine_backward(z, wc, bc, g)
-            width = g_z.shape[-1] // len(bounds)
-            parts = [g_z[..., i * width:(i + 1) * width] for i in range(len(bounds))]
+            g_zz = _affine_backward(z, wc, bc, g).reshape(zz.shape)
             for head, arms, gh in queue:
-                parts[head][... if arms is None else arms] += gh
+                g_zz[..., head, :][... if arms is None else arms] += gh
             queue.clear()
-            g_h = [_affine_backward(h, w, b, grad(part))
-                   for (w, b, grad), part in zip(bounds, parts)]
-            g_a1 = sum(g_h[1:], g_h[0])
+            g_u = grad(g_zz)
+            g_a1 = _affine_backward(h, heads[0], heads[1], g_u[..., 0, :])
+            for k in range(1, n):
+                g_a1 += _affine_backward(h, heads[2 * k], heads[2 * k + 1], g_u[..., k, :])
             g_a1 *= a1 > 0.0  # in place: one more temporary page-faults lockstep steps
             _affine_backward(x, w1, b1, g_a1, input_grad=False)
 
-        return feats, _affine(z, wc, bc), queue, backprop
+        return [zz[..., k, :] for k in range(n)], _affine(z, wc, bc), queue, backprop
 
     def forward(self, x: Tensor):
         """Graph-building pass: the teacher's (features, logits), the
         student's ``StudentOutputs``; the logits are the net's node."""
         feats, logits, queue, backprop = self._layers(x.data)
-        node = Tensor._op(logits, tuple(self.params()))
+        node = Tensor._op(logits, self._params)
         node._backprop = backprop
         feats = [Tensor._op(z, ()) for z in feats]
         if self.kind == "teacher":
@@ -209,8 +231,8 @@ class StudentModel(_Net):
             return members[0]
         first = members[0]
         out = cls(*first.sizes, None, first.input_kind)
-        for p, *each in zip(out.params(), *(m.params() for m in members)):
-            p.data = np.stack([q.data for q in each])
+        out._hold([Tensor(np.stack([q.data for q in each]))
+                   for each in zip(*(m._params for m in members))])
         return out
 
     def member(self, a):
@@ -219,20 +241,19 @@ class StudentModel(_Net):
         if self.arms == 1:
             return self
         out = StudentModel(*self.sizes, None, self.input_kind)
-        for p, q in zip(out.params(), self.params()):
-            p.data = q.data[a].copy()
+        out._hold([Tensor(q.data[a]) for q in self._params])
         return out
 
     @staticmethod
     def _bound(u):
         """Each row scaled by 1/(1 + |row|) into the unit ball, and its
         backward."""
-        r = np.sqrt((u * u).sum(axis=-1) + 1e-300)
+        r = np.sqrt(_sum(u * u, axis=-1) + 1e-300)
         s = 1.0 / (1.0 + r)
 
         def grad(g):
             # d/du [s(r)·u] = s·I + (ds/dr)·u uᵀ/r, with ds/dr = −s²
-            coef = (g * u).sum(axis=-1) * s * s / r
+            coef = _sum(g * u, axis=-1) * s * s / r
             return g * s[..., None] - u * coef[..., None]
 
         return u * s[..., None], grad
@@ -243,13 +264,18 @@ def predict(model, x):
 
     Accepts one flat sample or a batch of rows of the model's input kind;
     no transform is involved, inference is a single forward pass of the
-    student or teacher. Logits that are not finite raise
+    student or teacher. Rows of another width than the model's input
+    raise ``ValueError``; logits that are not finite raise
     ``NonFiniteError``: no class is read off them.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
+    rows = np.atleast_2d(arr)
+    if rows.shape[-1] != model.sizes[0]:
+        raise ValueError(
+            f"model expects {model.sizes[0]} inputs per row, got {rows.shape[-1]}")
     with quiet_overflow():
-        logits = model.forward_np(np.atleast_2d(arr))
+        logits = model.forward_np(rows)
     if model.kind == "teacher":
         logits = logits[1]  # the teacher also returns its features
     _check_finite(logits, "logits")
@@ -331,11 +357,8 @@ def load_checkpoint(path):
         raise ValueError("checkpoint shape table does not match architecture")
     model = (TeacherModel(*dims, None) if kind == "teacher"
              else StudentModel(*dims, None, input_kind))
-    offset = 0
-    for name, shape in layout.items():
-        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
-        if not np.all(np.isfinite(arr)):
+    model.vector[...] = np.frombuffer(blob, dtype="<f8")
+    for name, p in zip(layout, model._params):
+        if not np.all(np.isfinite(p.data)):
             raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
-        getattr(model, name).data = arr.reshape(shape).astype(np.float64)
-        offset += arr.nbytes
     return model, header

@@ -5,7 +5,13 @@ Both stages run through one fit loop, ``_fit``, and one data set-up,
 ``_split_pool``; each stage brings only its own batching, as a per-epoch
 generator of ``(loss, parts)``. A step's graph holds the parameters, the
 net's node and its loss node (the cross-entropy or the objective), plus a
-``sum_all`` root over arms in lockstep.
+``sum_all`` root over arms in lockstep. Its weights and gradients live in
+the net's two flat vectors, which one AdamW per stage updates in place.
+What depends only on the run is worked out once: the pooled rows are
+checked finite and the labels in range in ``_split_pool``, and the
+student builds its objective's term plan and one ``DomainBatch`` of the
+run's shape up front; a step then only computes, and checks its loss
+(``Tensor.backward``) and its update (``AdamW.step``).
 
 The students of several modes (the arms of an ablation) train in
 lockstep, in ``_train_arms``: one stacked ``StudentModel``, one graph,
@@ -28,10 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, quiet_overflow, softmax_cross_entropy, sum_all
+from .autodiff import (AdamW, Tensor, _check_finite, _check_labels, quiet_overflow,
+                       softmax_cross_entropy, sum_all)
 from .data import MAX_CELLS, DomainDataset, leave_one_out, stream
 from .fourier import per_channel_phase
-from .losses import VARIANTS, DomainBatch, LossWeights, total_objective
+from .losses import VARIANTS, DomainBatch, LossWeights, _Plan, total_objective
 from .model import StudentModel, TeacherModel, parameter_count, predict
 
 __all__ = [
@@ -237,7 +244,10 @@ def _student_domains(sources, cfg):
 
 def _split_pool(sources, cfg, input_kind):
     """Split every source, pool each side as ``input_kind`` features and
-    count the classes: (train parts, (X, y, rows per part), (X, y), classes)."""
+    count the classes: (train parts, (X, y, rows per part), (X, y), classes).
+
+    The training rows are checked here, once, for every batch drawn from
+    them: each value finite, each label a class."""
     if not sources:
         raise ValueError("no source domains")
     pairs = [
@@ -247,6 +257,8 @@ def _split_pool(sources, cfg, input_kind):
     Xtr, ytr, rows = _pool(train_list, input_kind)
     Xva, yva, _ = _pool([p[1] for p in pairs], input_kind)
     classes = int(max(ytr.max(), yva.max())) + 1
+    _check_finite(Xtr, "tensor")
+    _check_labels(ytr, len(ytr), classes)
     return train_list, (Xtr, ytr, rows), (Xva, yva), classes
 
 
@@ -278,8 +290,7 @@ def _fit(model, steps, val, cfg, arms=1):
         for epoch in range(cfg.epochs):
             sums, count = [{} for _ in range(arms)], 0
             for loss, parts in steps(epoch):
-                opt.zero_grad()
-                loss.backward()
+                loss.backward()  # zeroes every gradient first: the net's node reaches all
                 opt.step()
                 for arm_sums, arm_parts in zip(sums, parts):
                     for key, value in arm_parts.items():
@@ -290,7 +301,7 @@ def _fit(model, steps, val, cfg, arms=1):
             for a, member in enumerate(members):
                 acc = float(np.mean(predict(member, Xva) == yva))
                 row = {"epoch": epoch}
-                row.update({key: total / count for key, total in sums[a].items()})
+                row.update({_COLUMNS[key]: total / count for key, total in sums[a].items()})
                 row["val_acc"] = acc
                 metrics[a].append(row)
                 if acc > best[a][0]:
@@ -315,7 +326,7 @@ def train_teacher(sources, cfg: TrainConfig) -> TeacherModel:
         order = stream(cfg.seed, _STREAM_TEACHER_BATCH, epoch).permutation(len(Xtr))
         for start in range(0, len(Xtr), cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            _, logits = teacher.forward(Tensor(Xtr[rows]))
+            _, logits = teacher.forward(Tensor._op(Xtr[rows], ()))  # rows checked
             yield softmax_cross_entropy(logits, ytr[rows]), [{}]
 
     _fit(teacher, steps, val, cfg)
@@ -374,21 +385,24 @@ def _train_arms(sources, teacher, cfgs) -> list:
         stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind,
     )
     student = StudentModel.stack([init] * n_arms)
-    w = weights if n_arms > 1 else weights[0]
+    plan = _Plan(weights if n_arms > 1 else weights[0])
+    # one batch of the run's shape, checked once; each step sets its rows
+    batch = DomainBatch(Tensor(np.zeros((len(domain_ids), 0))), domain_ids,
+                        domain_ids, quota)
 
     def steps(epoch):
         rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
         for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
             rows = Xtr[idx] if n_arms == 1 else np.tile(Xtr[idx], (n_arms, 1))
-            out = student.forward(Tensor(rows))
-            batch = DomainBatch(out.z2, ytr[idx], domain_ids, quota)
+            out = student.forward(Tensor._op(rows, ()))  # rows checked
+            batch.features, batch.labels = out.z2, ytr[idx]
             tf = teacher_feat[idx] if teacher_feat is not None else None
-            total, parts = total_objective(batch, tf, out, w)
+            total, parts = total_objective(batch, tf, out, plan)
             if n_arms == 1:
                 parts = [parts]
             else:
                 total = sum_all(total)  # the root seeds every arm's total with 1
-            yield total, [{_COLUMNS[k]: v for k, v in p.items()} for p in parts]
+            yield total, parts
 
     fits = _fit(student, steps, val, cfg, n_arms)
     return [

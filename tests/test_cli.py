@@ -437,6 +437,22 @@ def test_eval_errors(workspace, tmp_path):
                  os.path.join(run, "student.ckpt"), "--target", "9"]) == 2
 
 
+@pytest.mark.parametrize("model", [
+    TeacherModel(64, 8, 4, 3, np.random.default_rng(0)),
+    StudentModel(64, 8, 4, 3, np.random.default_rng(0)),
+], ids=["teacher", "student"])
+def test_eval_of_a_model_of_another_width_prints_one_line(workspace, tmp_path,
+                                                          capsys, model):
+    # the workspace rows are 2 channels x length 16 = 32 inputs wide
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(model, path)
+    capsys.readouterr()
+    assert main(["eval", workspace["data"], "--checkpoint", str(path),
+                 "--target", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "difex: error: model expects 64 inputs per row, got 32\n")
+
+
 @pytest.mark.parametrize("edit", [
     lambda header: [1, "teacher"],
     lambda header: {**header, "in_dim": "wide"},

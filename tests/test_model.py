@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import difex.model
-from difex.autodiff import Tensor
+from difex.autodiff import AdamW, Tensor, softmax_cross_entropy, sum_all
 from difex.model import (
     StudentModel,
     TeacherModel,
@@ -275,3 +275,79 @@ def test_checkpoint_rejects_shape_table_mismatch(tmp_path):
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(path)
+
+
+# -- the flat layout --------------------------------------------------------
+
+
+def assert_laid_out(model, path):
+    """Every parameter and its gradient are views of the net's two vectors,
+    in layout order, and the weight vector reads back as the checkpoint."""
+    at = 0
+    for p in model.params():
+        for array, vector in ((p.data, model.vector), (p.grad, model.grad)):
+            assert array.base is vector
+            assert array.ctypes.data == vector.ctypes.data + at * 8
+        at += p.data.size
+    assert at == model.vector.size == model.grad.size
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        fh.readline()
+        assert fh.read() == model.vector.astype("<f8").tobytes()
+
+
+def test_parameters_stay_views_of_one_vector(tmp_path):
+    rng = rng_for(6)
+    x, y = rng.normal(size=(9, 10)), rng.integers(0, 3, size=9)
+    teacher = TeacherModel(10, 8, 4, 3, rng)
+    members = [StudentModel(10, 8, 6, 3, rng) for _ in range(3)]
+    stack = StudentModel.stack(members)
+
+    def reloaded(model):
+        save_checkpoint(model, tmp_path / "saved.ckpt")
+        return load_checkpoint(tmp_path / "saved.ckpt")[0]
+
+    for model in (teacher, members[0], stack, stack.member(1),
+                  reloaded(teacher), reloaded(stack.member(2))):
+        assert_laid_out(model, tmp_path / "check.ckpt")
+    for model in (teacher, stack):
+        opt = AdamW(model.params(), lr=1e-2)
+        before = model.vector.copy()
+        for _ in range(3):
+            out = model.forward(Tensor(np.tile(x, (model.arms, 1))))
+            loss = softmax_cross_entropy(out[1] if model.kind == "teacher" else out.logits, y)
+            opt.zero_grad()
+            (sum_all(loss) if model.arms > 1 else loss).backward()
+            opt.step()
+            assert_laid_out(model, tmp_path / "check.ckpt")
+        assert not np.array_equal(model.vector, before)
+
+
+@pytest.mark.parametrize("net_first", [True, False])
+def test_a_parameter_read_twice_gets_both_gradients(net_first):
+    from oracles import add
+
+    rng = rng_for(7)
+    x = rng.normal(size=(5, 10))
+    model = StudentModel(10, 8, 6, 3, rng)
+
+    def grads(build):
+        loss = build()
+        loss.backward()
+        return [p.grad.copy() for p in model.params()]
+
+    def net():
+        return sum_all(model.forward(Tensor(x)).logits)
+
+    def total():  # one addition into w1's gradient, so both orders are exact
+        return sum_all(model.w1)
+
+    alone = grads(net)
+    pair = (net, total) if net_first else (total, net)
+    both = grads(lambda: add(pair[0](), pair[1]()))
+    for p, got, want in zip(model.params(), both, alone):
+        assert np.array_equal(got, want + 1.0 if p is model.w1 else want)
+    # two graph nodes of one net: each parameter sums both passes
+    twice = grads(lambda: add(net(), net()))
+    for got, want in zip(twice, alone):
+        assert np.array_equal(got, want + want)

@@ -323,6 +323,28 @@ def test_inf_planted_in_a_weight_stops_training():
         step()
 
 
+@pytest.mark.parametrize("stage", ["teacher", "student"])
+@pytest.mark.parametrize("plant, error, message", [
+    ("huge", NonFiniteError, "non-finite values in tensor"),
+    ("label", ValueError, r"label out of range \[0, 4\)"),
+])
+def test_training_rows_are_checked_once_per_run(stage, plant, error, message):
+    # a run checks its pooled rows before its first step, in place of a
+    # check on every batch: finite samples whose spectrum overflows give
+    # non-finite phase rows, and a label is planted past DomainDataset's check
+    sources = tiny_domains()
+    if plant == "huge":
+        sources[1].X[:, 0, :] = 1e308
+    else:
+        sources[1].y[:] = -1
+    cfg = tiny_cfg(mode="phase-only")
+    with np.errstate(all="ignore"), pytest.raises(error, match=message):
+        if stage == "teacher":
+            train_teacher(sources, cfg)
+        else:
+            train_student(sources, None, cfg)
+
+
 def test_full_mode_actually_changes_the_trajectory():
     sources = tiny_domains()
     erm = train_student(sources, None, tiny_cfg(mode="erm"))
