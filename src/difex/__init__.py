@@ -5,37 +5,8 @@ then a student is trained on raw inputs with four objective terms: task
 cross-entropy, distillation toward the frozen teacher, cross-domain
 correlation alignment, and an exploration term that pushes the two halves
 of the embedding apart. Everything runs on a small reverse-mode autodiff
-core over float64 numpy arrays.
+core over float64 numpy arrays. Names are imported from the modules,
+each of which lists its API in ``__all__``.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import AdamW, NonFiniteError, Tensor, finite_difference_grad
-from .fourier import Spectrum, amplitude, dft_naive, fft, fft_inverse, phase
-from .losses import LossWeights, coral_loss, covariance, exploration_l2, mse_distill
-from .model import StudentModel, TeacherModel
-from .data import BenchConfig, DomainDataset, generate, leave_one_out
-
-__all__ = [
-    "AdamW",
-    "NonFiniteError",
-    "Tensor",
-    "finite_difference_grad",
-    "Spectrum",
-    "amplitude",
-    "dft_naive",
-    "fft",
-    "fft_inverse",
-    "phase",
-    "LossWeights",
-    "coral_loss",
-    "covariance",
-    "exploration_l2",
-    "mse_distill",
-    "StudentModel",
-    "TeacherModel",
-    "BenchConfig",
-    "DomainDataset",
-    "generate",
-    "leave_one_out",
-]

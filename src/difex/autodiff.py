@@ -91,14 +91,15 @@ class Tensor:
         self._backprop = None
 
     @classmethod
-    def _op(cls, data, parents):
-        """Output of an op, or rows of checked data: no finite check,
-        ``_backprop`` set by the caller."""
+    def _op(cls, data, parents, backprop=None):
+        """Output of an op, or rows of checked data: no finite check.
+        ``backprop(g)`` adds the gradient ``g`` of the output into the
+        parents' gradients; a constant or a leaf has none."""
         out = cls.__new__(cls)
         out.data = np.asarray(data)  # numpy reductions return scalars
         out.grad = None
         out._parents = parents
-        out._backprop = None
+        out._backprop = backprop
         return out
 
     # -- graph traversal -------------------------------------------------
@@ -146,13 +147,10 @@ def _topo_order(root):
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor._op(a.data.sum(), (a,))
-
     def backprop(g):
         a.grad += g
 
-    out._backprop = backprop
-    return out
+    return Tensor._op(a.data.sum(), (a,), backprop)
 
 
 def _check_labels(labels, n, c):
@@ -192,13 +190,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.data.shape[-2:]
     labels = _check_labels(labels, n, c)
     value, grad = _cross_entropy(logits.data, labels, np.arange(n))
-    out = Tensor._op(value, (logits,))
 
     def backprop(g):
         logits.grad += grad(g)
 
-    out._backprop = backprop
-    return out
+    return Tensor._op(value, (logits,), backprop)
 
 
 def backward(loss: Tensor, params=None):
@@ -233,22 +229,24 @@ def _lay_out(tensors):
     return x, g
 
 
+_BETA1, _BETA2 = 0.9, 0.999  # AdamW's moment decay rates
+_EPS = 1e-8  # added to AdamW's denominator
+
+
 class AdamW:
     """Adaptive-moment update with decoupled weight decay.
 
-    Defaults follow the common recipe: lr 1e-3, decay 5e-4, betas
-    (0.9, 0.999), eps 1e-8, with bias-corrected moments.
+    ``lr`` and ``weight_decay`` default to 1e-3 and 5e-4; betas
+    (0.9, 0.999) and eps 1e-8 are fixed, with bias-corrected moments.
 
     The parameters and their gradients are updated as two flat vectors
     (``_lay_out``): a net's own, or new ones the parameters are moved into.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=5e-4, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-3, weight_decay=5e-4):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._x, self._g = _lay_out(self.params)
         self._xs = [p.data for p in self.params]
@@ -291,24 +289,24 @@ class AdamW:
         x, g, a, b, new = self._x, self._g, self._a, self._b, self._next
         m, v = self._m, self._v
         t = self.t + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         decayed = x
         if self.weight_decay:
             np.multiply(x, self.lr * self.weight_decay, out=a)
             decayed = np.subtract(x, a, out=new)
         np.subtract(g, self.m, out=a)
-        a *= 1.0 - self.beta1
+        a *= 1.0 - _BETA1
         np.add(self.m, a, out=m)
         np.multiply(g, g, out=a)
         a -= self.v
-        a *= 1.0 - self.beta2
+        a *= 1.0 - _BETA2
         np.add(self.v, a, out=v)
         np.divide(m, bc1, out=a)
         a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _EPS
         a /= b
         np.subtract(decayed, a, out=new)
         _check_finite(new, "parameter after optimizer step")

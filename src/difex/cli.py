@@ -44,8 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(path):
-    """Flat `key = value` lines; blank lines and # comments ignored; a
-    key may appear once."""
+    """Flat `key = value` lines; a key may appear once. Blank lines and
+    lines that start with # are skipped; a # after a value is part of it."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -238,6 +238,8 @@ def cmd_ablate(args):
         raise DataError("no seeds given")
     if min(seeds) < 0:
         raise DataError(f"--seeds must be >= 0, got {args.seeds!r}")
+    if len(set(seeds)) < len(seeds):
+        raise DataError(f"--seeds lists a seed twice: {args.seeds!r}")
     cfg = _train_config(args.config, "full", seeds[0])
     targets = sorted(ds.domain for ds in domains)
     grid = [
@@ -293,7 +295,7 @@ def cmd_ablate(args):
 
 def _parse_ids(spec_str, domains):
     by_domain = {ds.domain: ds for ds in domains}
-    picks = []
+    picks = {}  # an ordered set of (domain, index)
     for token in spec_str.split(","):
         token = token.strip()
         if not token:
@@ -310,10 +312,12 @@ def _parse_ids(spec_str, domains):
         ds = by_domain[d]
         if not 0 <= i < len(ds):
             raise DataError(f"id {token!r} not found: domain {d} has {len(ds)} rows")
-        picks.append((d, i))
+        if (d, i) in picks:
+            raise DataError(f"id {token!r} is picked twice")
+        picks[d, i] = None
     if not picks:
         raise DataError("no sample ids given")
-    return picks
+    return list(picks)
 
 
 def cmd_motivate(args):

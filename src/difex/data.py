@@ -517,12 +517,13 @@ def load_dir(path, domains=None):
     With ``domains`` (a set of domain ids), only datasets of those domains
     are returned. A file whose first data row names a domain outside the
     set is skipped after its first two lines, unparsed; any other file is
-    loaded in full, so it fails as it would without the filter.
+    loaded in full, so it fails as it would without the filter. Two
+    returned datasets of one domain are an error.
     """
     manifest = _read_manifest(os.path.join(path, "manifest.json"))
     if not manifest["files"]:
         raise DataError(f"{path}: manifest.json lists no dataset files")
-    out = []
+    out, names = [], {}
     for name in manifest["files"]:
         file = os.path.join(path, name)
         if domains is not None:
@@ -531,6 +532,10 @@ def load_dir(path, domains=None):
                 continue
         ds = load_csv(file, channels=manifest["channels"])
         if domains is None or ds.domain in domains:
+            if ds.domain in names:
+                raise DataError(f"{path}: domain {ds.domain} is in both "
+                                f"{names[ds.domain]} and {name}")
+            names[ds.domain] = name
             out.append(ds)
     return out
 

@@ -119,10 +119,9 @@ def _node(core, heads, arms):
     """A term's graph node over ``heads`` from its array core's ``(value,
     backward)``; ``backward(g, *adds)`` hands each head its gradient."""
     value, backward = core
-    out = Tensor._op(_padded(value, arms, heads[0].data.shape[0]), heads)
     adds = [lambda g, t=t: _add_grad(t, arms, g) for t in heads]
-    out._backprop = lambda g: backward(g, *adds)
-    return out
+    return Tensor._op(_padded(value, arms, heads[0].data.shape[0]), heads,
+                      lambda g: backward(g, *adds))
 
 
 def _distill(z, teacher_feat, arms):
@@ -397,14 +396,14 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
         logged.append((key, value, on))
         terms.append((backward, lam, [add_to(h, arms) for h in heads]))
     logged.append(("total", total, plan.arms))
-    out = Tensor._op(total, (logits,) if queue is not None else (logits, z1, z2))
 
     def backprop(g):
         logits.grad += cls_grad(g)
         for backward, lam, adds in terms:
             backward(g * lam, *adds)
 
-    out._backprop = backprop
+    out = Tensor._op(total, (logits,) if queue is not None else (logits, z1, z2),
+                     backprop)
     if not plan.stacked:
         return out, {key: float(v) for key, v, _ in logged}
     parts = [{} for _ in plan.arms]

@@ -168,8 +168,7 @@ class _Net:
         """Graph-building pass: the teacher's (features, logits), the
         student's ``StudentOutputs``; the logits are the net's node."""
         feats, logits, queue, backprop = self._layers(x.data)
-        node = Tensor._op(logits, self._params)
-        node._backprop = backprop
+        node = Tensor._op(logits, self._params, backprop)
         feats = [Tensor._op(z, ()) for z in feats]
         if self.kind == "teacher":
             return feats[0], node

@@ -270,19 +270,16 @@ def _pool(ds_list, input_kind):
     return X, y, rows
 
 
-def _fit(model, steps, val, cfg, arms=1):
-    """Train ``model`` with one AdamW and leave each of its ``arms`` at
+def _fit(model, steps, val, cfg):
+    """Train ``model`` with one AdamW and leave each of its arms at
     the epoch with that arm's best validation accuracy (the first, on
     ties). ``steps(epoch)`` yields ``(loss, parts)`` per batch, ``parts``
     one dict per arm; an epoch's metrics row for an arm holds the mean of
     each of its parts. Returns, per arm, (metrics, best epoch, best
     validation accuracy)."""
     Xva, yva = val
-    params = model.params()
+    params, arms = model.params(), model.arms
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-
-    def arm_data(p):  # parameter data with a leading arm axis
-        return p.data if arms > 1 else p.data[None]
 
     metrics = [[] for _ in range(arms)]
     best = [(-1.0, -1, None)] * arms  # (accuracy, epoch, weights)
@@ -307,8 +304,8 @@ def _fit(model, steps, val, cfg, arms=1):
                 if acc > best[a][0]:
                     best[a] = (acc, epoch, [p.data.copy() for p in member.params()])
     for a, (_, _, weights) in enumerate(best):
-        for p, data in zip(params, weights):
-            arm_data(p)[a] = data
+        for p, data in zip(params, weights):  # p.data with a leading arm axis
+            (p.data if arms > 1 else p.data[None])[a] = data
     return [(metrics[a], best[a][1], best[a][0]) for a in range(arms)]
 
 
@@ -404,7 +401,7 @@ def _train_arms(sources, teacher, cfgs) -> list:
                 total = sum_all(total)  # the root seeds every arm's total with 1
             yield total, parts
 
-    fits = _fit(student, steps, val, cfg, n_arms)
+    fits = _fit(student, steps, val, cfg)
     return [
         RunResult(model=student.member(a), metrics=metrics,
                   selected_epoch=best_epoch, val_accuracy=best_acc)

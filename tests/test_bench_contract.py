@@ -105,3 +105,37 @@ def test_traced_graphs_have_one_size_per_key(traced):
         assert spans["graph_nodes"], cmd
         for key, sizes in spans["graph_nodes"].items():
             assert len(sizes) == 1, (cmd, key, sizes)
+
+
+def test_a_traced_train_times_each_step_layer_under_its_arm(traced):
+    # bench/run.py builds its step.<arm>.* rows from these spans' arms
+    names = {}
+    for name, _start, _end, _parent, arm in traced[0]["train"]["spans"]:
+        names.setdefault(arm, set()).add(name)
+    shared = {"model.forward", "autodiff.backward", "autodiff.adamw"}
+    assert shared | {"losses.cross_entropy", "training.teacher"} <= names["teacher"]
+    assert shared | {"losses.objective", "training.student"} <= names["full"]
+    assert set(load_bench().STEP_LAYERS) <= names["teacher"] | names["full"]
+
+
+def test_traced_graph_sizes_per_key(traced):
+    spans = traced[0]
+    assert spans["train"]["graph_nodes"] == {"teacher": [8], "full": [10]}
+    # the lockstep students carry no arm, so their graph is the "" key
+    assert spans["ablate"]["graph_nodes"] == {"teacher": [8], "": [11]}
+
+
+def test_the_package_binds_only_its_version_and_each_module_api_resolves():
+    code = """\
+import importlib, pkgutil, difex
+print(sorted(k for k in vars(difex) if not k.startswith("__")), "__version__" in vars(difex))
+for info in pkgutil.iter_modules(difex.__path__):
+    mod = importlib.import_module("difex." + info.name)
+    for name in getattr(mod, "__all__", ()):
+        getattr(mod, name)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[] True\n"

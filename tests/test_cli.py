@@ -303,6 +303,29 @@ def test_a_negative_seed_exits_two_naming_its_key(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["ablate", "--seeds", "1,2,1"], "--seeds"),
+    (["motivate", "--ids", "0:0,0:0"], "'0:0'"),
+])
+def test_a_repeated_seed_or_id_exits_two_naming_it(workspace, tmp_path, capsys,
+                                                   argv, named):
+    out = tmp_path / "o"
+    assert main([argv[0], workspace["data"], *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+def test_a_comment_after_a_config_value_is_part_of_the_value(workspace, tmp_path,
+                                                              capsys):
+    cfg = write(tmp_path / "t.cfg", "# a whole-line comment is skipped\nepochs = 2  # short\n")
+    assert main(["train", workspace["data"], "--config", cfg,
+                 "--target", "0", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "difex: error: bad config value for 'epochs': '2  # short'\n")
+
+
 @pytest.mark.parametrize("line", [
     "hidden = 0", "lr = nan", "lr = inf", "lr = -0.001", "weight_decay = -1",
     "virtual_domains = 0", "virtual_domains = 1", "virtual_domains = -1",
@@ -387,6 +410,31 @@ def test_malformed_manifest_exits_two(workspace, tmp_path, capsys, manifest):
         (data / "manifest.json").write_text(manifest)
     assert main(["motivate", str(data), "--out", str(tmp_path / "v.csv")]) == 2
     assert capsys.readouterr().err.startswith("difex: error: ")
+
+
+@pytest.mark.parametrize("copy", ["domain_1.csv", "copy_1.csv"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_domain_listed_twice_exits_two_naming_both_files(workspace, tmp_path, capsys,
+                                                           command, copy):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    if copy != "domain_1.csv":
+        shutil.copy(data / "domain_1.csv", data / copy)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["files"].append(copy)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", str(data), "--config", workspace["train_cfg"],
+                "--target", "0", "--out", str(out)]
+    else:
+        argv = ["eval", str(data), "--target", "1", "--checkpoint",
+                os.path.join(workspace["run"], "student.ckpt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: ") and err.count("\n") == 1
+    assert err.endswith(f": domain 1 is in both domain_1.csv and {copy}\n")
+    assert not out.exists()
 
 
 # -- eval -----------------------------------------------------------------
