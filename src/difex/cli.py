@@ -16,6 +16,9 @@ import os
 import sys
 import time
 
+# before numpy loads BLAS: one thread each unless set, or pooled workers oversubscribe
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 import numpy as np
 
 from . import __version__
@@ -137,10 +140,20 @@ def _write_manifest(path, payload):
         fh.write("\n")
 
 
+def _check_out_dir(out):
+    """Refuse, before any work, an ``--out`` that cannot be made a directory."""
+    probe = out
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not out or not os.path.isdir(probe or "."):
+        raise DataError(f"--out {out!r}: {probe!r} is not a directory")
+
+
 # -- subcommands ---------------------------------------------------------
 
 
 def cmd_generate(args):
+    _check_out_dir(args.out)
     cfg = _bench_config(args.config)
     datasets = generate(cfg)
     # only once every sample exists, so a failed run leaves no directory
@@ -177,6 +190,7 @@ def write_table(rows, path):
 
 
 def cmd_train(args):
+    _check_out_dir(args.out)
     domains = load_dir(args.data)
     cfg = _train_config(args.config, args.mode, args.seed)
     result = run_leave_one_out(domains, args.target, cfg)
@@ -229,6 +243,7 @@ def _worker_count(n_cells):
 
 
 def cmd_ablate(args):
+    _check_out_dir(args.out)
     domains = load_dir(args.data)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
@@ -300,11 +315,8 @@ def _parse_ids(spec_str, domains):
         token = token.strip()
         if not token:
             continue
-        if ":" not in token:
-            raise DataError(f"bad id {token!r}; expected DOMAIN:INDEX")
-        d_str, i_str = token.split(":", 1)
         try:
-            d, i = int(d_str), int(i_str)
+            d, i = (int(part) for part in token.split(":", 1))
         except ValueError:
             raise DataError(f"bad id {token!r}; expected DOMAIN:INDEX") from None
         if d not in by_domain:

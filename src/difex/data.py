@@ -565,15 +565,9 @@ def load_csv(path, channels=None) -> DomainDataset:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
-    cols = lines[0].split(",")
-    if (
-        len(cols) < 3
-        or cols[0] != "domain"
-        or cols[1] != "label"
-        or cols[2:] != [f"f_{i}" for i in range(len(cols) - 2)]
-    ):
+    width = lines[0].count(",") - 1
+    if width < 1 or lines[0] != _header(width):
         raise DataError(f"{path}:1: unknown header")
-    width = len(cols) - 2
     if channels is None:
         channels = _manifest_channels(path)
     if channels < 1 or width % channels:

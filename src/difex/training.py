@@ -180,6 +180,8 @@ def train_val_split(ds: DomainDataset, fraction=0.8, seed=0):
 
 def _domain_quota(batch_size, m):
     """Rows per domain in a domain-balanced batch over ``m`` domains."""
+    if m < 1:
+        raise ValueError("no source domains")
     quota = batch_size // m
     if quota < 2:
         raise ValueError(
@@ -232,14 +234,6 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
         rows = np.flatnonzero(labels == j)
         out.append(DomainDataset(j, ds.X[rows], ds.y[rows]))
     return out
-
-
-def _student_domains(sources, cfg):
-    """The domains the student balances its batches over: the sources, or
-    with one source and ``virtual_domains`` set, its pseudo-domains."""
-    if len(sources) == 1 and cfg.virtual_domains:
-        return assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
-    return sources
 
 
 def _split_pool(sources, cfg, input_kind):
@@ -346,12 +340,17 @@ def train_student(sources, teacher, cfg: TrainConfig) -> RunResult:
     computed once up front. Ablated terms are skipped, not zero-weighted:
     they are never computed.
     """
-    return _train_arms(sources, teacher, [cfg])[0]
+    return _train_arms(sources, [cfg])(teacher)[0]
 
 
-def _train_arms(sources, teacher, cfgs) -> list:
-    """Train one student per config in lockstep; the configs differ only
-    in a mode of one input kind. One RunResult per config, in order.
+def _train_arms(sources, cfgs):
+    """Set up one student per config, all of one input kind, to train in
+    lockstep; the returned ``train(teacher)`` gives their RunResults in order.
+
+    The set-up needs no teacher, so a caller runs every check of it first:
+    the domains to balance over (one source with ``virtual_domains`` set
+    gives its pseudo-domains), the batch quota, the split and pooled rows,
+    the ``data.MAX_CELLS`` weight count and the batch fill.
 
     All arms draw the same batches and initial weights from the seed, so
     one init is stacked A times and every step feeds the batch's rows
@@ -359,54 +358,61 @@ def _train_arms(sources, teacher, cfgs) -> list:
     """
     cfg, n_arms = cfgs[0], len(cfgs)
     weights = [effective_weights(c) for c in cfgs]
-    distills = any(w.lambda1 > 0 for w in weights)
-    if distills and teacher is None:
-        raise ValueError("distillation is active but no trained teacher was given")
-    eff_sources = _student_domains(sources, cfg)
-    if any(w.lambda2 > 0 for w in weights) and len(eff_sources) < 2:
+    if len(sources) == 1 and cfg.virtual_domains:
+        sources = assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
+    if any(w.lambda2 > 0 for w in weights) and len(sources) < 2:
         raise ValueError("alignment needs >= 2 source domains (or virtual_domains set)")
-    input_kind = _input_kind(cfg)
-    train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(
-        eff_sources, cfg, input_kind
-    )
     # every batch is ``quota`` rows of each domain in turn (batch_index_stream)
-    quota = _domain_quota(cfg.batch_size, len(domain_rows))
+    quota = _domain_quota(cfg.batch_size, len(sources))
+    input_kind = _input_kind(cfg)
+    train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(sources, cfg, input_kind)
+    h, d = cfg.hidden, cfg.feature_dim
+    count = n_arms * parameter_count("student", (Xtr.shape[1], h, d, classes))
+    if count > MAX_CELLS:
+        raise ValueError(
+            f"hidden = {h} and feature_dim = {d} give {count} weights over "
+            f"{n_arms} student(s) of {classes} classes; the limit is {MAX_CELLS}")
+    _check_fill(cfg.batch_size, quota, [len(ds) for ds in train_list])
     domain_ids = np.repeat(np.arange(len(domain_rows)), quota)
-    teacher_feat = None
-    if distills:
-        Xtr_phase, _, _ = _pool(train_list, "phase")
-        with quiet_overflow():
-            teacher_feat = teacher.forward_np(Xtr_phase)[0]
-    init = StudentModel(
-        Xtr.shape[1], cfg.hidden, cfg.feature_dim, classes,
-        stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind,
-    )
-    student = StudentModel.stack([init] * n_arms)
     plan = _Plan(weights if n_arms > 1 else weights[0])
     # one batch of the run's shape, checked once; each step sets its rows
     batch = DomainBatch(Tensor(np.zeros((len(domain_ids), 0))), domain_ids,
                         domain_ids, quota)
 
-    def steps(epoch):
-        rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
-        for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
-            rows = Xtr[idx] if n_arms == 1 else np.tile(Xtr[idx], (n_arms, 1))
-            out = student.forward(Tensor._op(rows, ()))  # rows checked
-            batch.features, batch.labels = out.z2, ytr[idx]
-            tf = teacher_feat[idx] if teacher_feat is not None else None
-            total, parts = total_objective(batch, tf, out, plan)
-            if n_arms == 1:
-                parts = [parts]
-            else:
-                total = sum_all(total)  # the root seeds every arm's total with 1
-            yield total, parts
+    def train(teacher):
+        if plan.distills and teacher is None:
+            raise ValueError("distillation is active but no trained teacher was given")
+        teacher_feat = None
+        if plan.distills:
+            Xtr_phase, _, _ = _pool(train_list, "phase")
+            with quiet_overflow():
+                teacher_feat = teacher.forward_np(Xtr_phase)[0]
+        init = StudentModel(Xtr.shape[1], h, d, classes,
+                            stream(cfg.seed, _STREAM_STUDENT_INIT), input_kind=input_kind)
+        student = StudentModel.stack([init] * n_arms)
 
-    fits = _fit(student, steps, val, cfg)
-    return [
-        RunResult(model=student.member(a), metrics=metrics,
-                  selected_epoch=best_epoch, val_accuracy=best_acc)
-        for a, (metrics, best_epoch, best_acc) in enumerate(fits)
-    ]
+        def steps(epoch):
+            rng = stream(cfg.seed, _STREAM_STUDENT_BATCH, epoch)
+            for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
+                rows = Xtr[idx] if n_arms == 1 else np.tile(Xtr[idx], (n_arms, 1))
+                out = student.forward(Tensor._op(rows, ()))  # rows checked
+                batch.features, batch.labels = out.z2, ytr[idx]
+                tf = teacher_feat[idx] if teacher_feat is not None else None
+                total, parts = total_objective(batch, tf, out, plan)
+                if n_arms == 1:
+                    parts = [parts]
+                else:
+                    total = sum_all(total)  # the root seeds every arm's total with 1
+                yield total, parts
+
+        fits = _fit(student, steps, val, cfg)
+        return [
+            RunResult(model=student.member(a), metrics=metrics,
+                      selected_epoch=best_epoch, val_accuracy=best_acc)
+            for a, (metrics, best_epoch, best_acc) in enumerate(fits)
+        ]
+
+    return train
 
 
 def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
@@ -417,32 +423,20 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
     The teacher depends on everything in the config except the mode, so
     it is trained once, for the first mode that distills, and every
     distilling mode learns from that one teacher; the students train in
-    lockstep. Mixed kinds, layers over ``data.MAX_CELLS`` weights and a
-    batch too small for the student's domains fail before any teacher.
+    lockstep. Mixed kinds and every check of the students' set-up fail
+    before any teacher.
     """
     arms = [replace(cfg, mode=mode) for mode in modes]
     if len({_input_kind(arm) for arm in arms}) != 1:
         raise ValueError(f"modes must be of one input kind, got {tuple(modes)}")
     sources, target_ds = leave_one_out(domains, target)
-    classes = max(int(ds.y.max()) for ds in sources) + 1
-    h, d = cfg.hidden, cfg.feature_dim
-    sizes = (sources[0].X[0].size, h, d, classes)
-    weights = len(arms) * parameter_count("student", sizes)
-    if weights > MAX_CELLS:
-        raise ValueError(
-            f"hidden = {h} and feature_dim = {d} give {weights} weights over "
-            f"{len(arms)} student(s) of {classes} classes; the limit is {MAX_CELLS}")
-    student_domains = _student_domains(sources, cfg)
-    quota = _domain_quota(cfg.batch_size, len(student_domains))
-    _check_fill(cfg.batch_size, quota, [
-        len(train_val_split(ds, 1.0 - cfg.val_fraction, cfg.seed)[0])
-        for ds in student_domains
-    ])
+    train = _train_arms(sources, arms)
+    if len(arms) == 1:
+        # through train_student, whose cfg names the arm in bench/tracer.py: set up twice
+        train = lambda teacher: [train_student(sources, teacher, arms[0])]
     distills = [effective_weights(arm).lambda1 > 0 for arm in arms]
     teacher = train_teacher(sources, arms[distills.index(True)]) if any(distills) else None
-    # a lone arm goes through the one-arm entry, as a direct caller's does
-    results = ([train_student(sources, teacher, arms[0])] if len(arms) == 1
-               else _train_arms(sources, teacher, arms))
+    results = train(teacher)
     for result, distilled in zip(results, distills):
         result.teacher = teacher if distilled else None
         result.target_accuracy = evaluate(result.model, [target_ds])

@@ -377,6 +377,50 @@ def test_a_batch_larger_than_a_domain_exits_two_before_any_teacher(
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_lone_source_to_align_exits_two_before_any_teacher(
+    workspace, tmp_path, capsys, monkeypatch, command,
+):
+    def refuse(sources, cfg):
+        raise AssertionError("a teacher was trained")
+
+    monkeypatch.setattr(difex.training, "train_teacher", refuse)
+    monkeypatch.setenv("DIFEX_THREADS", "1")
+    gen = write(tmp_path / "g.cfg", GEN_CFG.replace("domains = 3", "domains = 2"))
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", gen, "--out", data]) == 0
+    capsys.readouterr()
+    # leaving one of two domains out leaves one source, and full mode aligns
+    args = ["--target", "0"] if command == "train" else ["--seeds", "0"]
+    assert main([command, data, "--config", workspace["train_cfg"], *args,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("difex: error: alignment needs >= 2 source "
+                                       "domains (or virtual_domains set)\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("out", ["F", os.path.join("F", "sub"), ""])
+@pytest.mark.parametrize("command", ["generate", "train", "ablate"])
+def test_an_out_that_cannot_be_a_directory_exits_two_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, command, out,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(difex.cli, "load_dir", refuse)
+    monkeypatch.setattr(difex.cli, "generate", refuse)
+    (tmp_path / "F").write_text("a file\n")
+    data = [] if command == "generate" else [workspace["data"]]
+    target = ["--target", "0"] if command == "train" else []
+    path = str(tmp_path / out) if out else ""  # "" names no directory at all
+    assert main([command, *data, *target, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("difex: error: --out ") and err.count("\n") == 1
+    assert "is not a directory" in err
+    assert os.listdir(tmp_path) == ["F"]
+    assert (tmp_path / "F").read_text() == "a file\n"
+
+
 def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):
     cfg = write(tmp_path / "t.cfg", TRAIN_CFG + "epochs = 1\n")
     assert main(["train", workspace["data"], "--config", cfg,
@@ -745,3 +789,20 @@ def test_importing_the_cli_loads_neither_a_pool_nor_subprocess():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_importing_the_cli_sets_one_blas_thread_unless_one_is_set(preset):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, difex.cli; "
+            f"print([os.environ.get(name) for name in {names!r}])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == str([preset or "1", "1", "1"])

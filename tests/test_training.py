@@ -504,6 +504,15 @@ def test_run_arms_checks_the_batch_quota_before_any_teacher(no_teacher):
                  ("erm", "full"))
 
 
+@pytest.mark.parametrize("modes", [
+    ("full",), ("erm", "no-intern", "no-mutual", "no-exp", "full"),
+])
+def test_run_arms_checks_alignment_before_any_teacher(no_teacher, modes):
+    # two domains leave one source, and alignment needs two
+    with pytest.raises(ValueError, match="alignment needs >= 2 source domains"):
+        run_arms(tiny_domains()[:2], 0, tiny_cfg(), modes)
+
+
 def test_run_arms_refuses_mixed_input_kinds_before_any_teacher(no_teacher):
     with pytest.raises(ValueError, match=r"one input kind.*'erm', 'phase-only'"):
         run_arms(tiny_domains(), 0, tiny_cfg(), ("erm", "phase-only"))
