@@ -68,7 +68,7 @@ print(f"\ndefault weights: lambda1={w.lambda1} lambda2={w.lambda2} "
 # only parent is the net's node
 student = StudentModel(3, 6, 4, 2, rng)
 out = student.forward(Tensor(rng.normal(size=(8, 3))))
-batch = DomainBatch(out.z2, np.arange(8) % 2, ids, quota=4)
+batch = DomainBatch(out.z2, np.arange(8) % 2, ids)
 total, parts = total_objective(batch, rng.normal(size=(8, 2)) * 0.1, out, w)
 print("\nobjective parts:", {k: round(v, 4) for k, v in parts.items()})
 print("parents of the objective node:", len(total._parents),

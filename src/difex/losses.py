@@ -9,12 +9,14 @@ is one graph node; each term is also a node of its own, and both run the
 term's one array core. ``covariance`` and the alignment term share one
 covariance, forward and backward.
 
-Arms trained in lockstep feed features with a leading arm axis, (A, B, w),
-and each term takes the ``arms`` that keep it: it reads and writes only
-those arms' rows, and returns one value per arm, 0 for the arms it skips.
-Each arm's value and gradient have the bits of the same term on that arm's
-2-D features, and a term adds into its features' gradient in the order
-its standalone graph does.
+Arms trained in lockstep feed features with a leading arm axis, (A, B, w).
+A term's array core is batched math over whatever leading axes it is
+given; ``_on_arms`` runs it on the ``arms`` that keep the term, so it reads
+and writes only those arms' rows and returns one value per arm, 0 for the
+arms it skips. Distillation and L2 exploration share one squared-gap core,
+``_gap``. Each arm's value and gradient have the bits of the same term on
+that arm's 2-D features, and a term adds into its features' gradient in
+the order its standalone graph does.
 """
 
 from __future__ import annotations
@@ -64,15 +66,15 @@ class LossWeights:
 
 @dataclass
 class DomainBatch:
-    """A feature matrix with per-row labels and domain ids. ``quota`` says
-    the rows are ``quota`` rows of each domain in turn, as the batches of
-    ``training.batch_index_stream`` are: alignment then reshapes the rows
-    instead of regrouping them by ``domain_ids``."""
+    """A feature matrix with per-row labels and domain ids. When the ids are
+    equal blocks in ascending id order, as the batches of
+    ``training.batch_index_stream`` are, ``quota`` is the block size and
+    alignment reshapes the rows instead of regrouping them; else it is None."""
 
     features: Tensor
     labels: np.ndarray
     domain_ids: np.ndarray
-    quota: int | None = None
+    quota: int | None = field(init=False)
     rows: np.ndarray = field(init=False, repr=False)  # np.arange of the rows
 
     def __post_init__(self):
@@ -82,10 +84,10 @@ class DomainBatch:
         if self.labels.shape != (b,) or self.domain_ids.shape != (b,):
             raise ValueError("labels/domain_ids must match the batch dimension")
         self.rows = np.arange(b)
-
-
-def _rows(x, arms):  # the rows of ``arms`` (all of them when None)
-    return x if arms is None else x[arms]
+        domains = np.unique(self.domain_ids)
+        q = b // max(len(domains), 1)
+        blocks = q > 0 and np.array_equal(self.domain_ids, np.repeat(domains, q))
+        self.quota = q if blocks else None
 
 
 def _add_grad(t: Tensor, arms, g):
@@ -101,43 +103,48 @@ def _per_arm_sum(a):
     return _sum(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
 
 
-def _padded(value, arms, n_arms):
-    """The value of each arm of ``arms`` as one value per arm, 0 elsewhere."""
+def _on_arms(core, arrays, arms, *rest):
+    """Run ``core(*arrays, *rest)`` on the rows of ``arms`` of each array
+    (all of them when None): the value is padded to one per arm, 0 for the
+    arms it skips, and the core's ``backward(g, *adds)`` is handed only
+    those arms' share of ``g``."""
     if arms is None:
-        return value
-    full = np.zeros(n_arms)
+        return core(*arrays, *rest)
+    value, backward = core(*(x[arms] for x in arrays), *rest)
+    full = np.zeros(arrays[0].shape[0])
     full[arms] = value
-    return full
+    return full, lambda g, *adds: backward(g[arms], *adds)
 
 
-def _arm_grad(g, arms):
-    """The output gradient of ``arms``, shaped to scale their matrices."""
-    return (g if arms is None else g[arms])[..., None, None]
-
-
-def _node(core, heads, arms):
-    """A term's graph node over ``heads`` from its array core's ``(value,
-    backward)``; ``backward(g, *adds)`` hands each head its gradient."""
-    value, backward = core
+def _node(core, heads, arms, *rest):
+    """A term's graph node over ``heads``: ``core`` on their arrays through
+    ``_on_arms``, each head adding its gradient into the rows of ``arms``."""
+    value, backward = _on_arms(core, [t.data for t in heads], arms, *rest)
     adds = [lambda g, t=t: _add_grad(t, arms, g) for t in heads]
-    return Tensor._op(_padded(value, arms, heads[0].data.shape[0]), heads,
-                      lambda g: backward(g, *adds))
+    return Tensor._op(value, heads, lambda g: backward(g, *adds))
 
 
-def _distill(z, teacher_feat, arms):
+def _gap(diff, s):
+    """``s`` times the sum of squares of each matrix of ``diff``; the backward
+    hands ``2·s·g·diff`` to the first head and its negative to the second."""
+
+    def backward(g, add, *second):
+        gd = g[..., None, None] * s * diff
+        gd = gd + gd
+        add(gd)
+        for add_second in second:
+            add_second(-gd)
+
+    return _per_arm_sum(diff * diff) * s, backward
+
+
+def _distill(z, teacher_feat):
     if isinstance(teacher_feat, Tensor):
         teacher_feat = teacher_feat.data
     target = np.asarray(teacher_feat, dtype=np.float64)
     if z.shape[-2:] != target.shape:
         raise ValueError(f"feature shapes differ: {z.shape} vs {target.shape}")
-    diff = _rows(z, arms) - target
-    s = 1.0 / target.size
-
-    def backward(g, add):
-        gd = _arm_grad(g, arms) * s * diff
-        add(gd + gd)
-
-    return _per_arm_sum(diff * diff) * s, backward
+    return _gap(z - target, 1.0 / target.size)
 
 
 def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
@@ -147,7 +154,7 @@ def mse_distill(student_feat: Tensor, teacher_feat, arms=None) -> Tensor:
     With an arm axis every arm in ``arms`` is compared with the same
     B-by-w teacher features.
     """
-    return _node(_distill(student_feat.data, teacher_feat, arms), (student_feat,), arms)
+    return _node(_distill, (student_feat,), arms, teacher_feat)
 
 
 def _cov_forward(X):
@@ -184,14 +191,13 @@ def covariance(X: Tensor) -> Tensor:
     if X.data.ndim != 2 or X.data.shape[0] < 2:
         raise ValueError("covariance needs a matrix with at least 2 rows")
     cov, saved = _cov_forward(X.data)
-    return _node((cov, lambda g, add: add(_cov_backward(saved, g))), (X,), None)
+    return Tensor._op(cov, (X,), lambda g: _add_grad(X, None, _cov_backward(saved, g)))
 
 
-def _coral(z, domain_ids, quota, arms):
+def _coral(X, domain_ids, quota):
     """Alignment's array core: one ``_cov_forward`` call over the stacked
     blocks of ``quota`` rows, or one per domain of ``domain_ids``; the
     pair terms in one stack, summed in pair order."""
-    X = _rows(z, arms)
     if quota is None:
         rows = [np.flatnonzero(domain_ids == d) for d in np.unique(domain_ids)]
         blocks = [X[..., r, :][..., None, :, :] for r in rows]
@@ -211,7 +217,7 @@ def _coral(z, domain_ids, quota, arms):
     s = 1.0 / len(pairs)
 
     def backward(g, add):
-        gd = (_arm_grad(g, arms) * s)[..., None] * diffs
+        gd = (g[..., None, None] * s)[..., None] * diffs
         gd += gd
         cov_grads = np.zeros(covs.shape)
         for k, (i, j) in enumerate(pairs):
@@ -240,25 +246,16 @@ def coral_loss(batch: DomainBatch, arms=None) -> Tensor:
     particular each covariance collects its pair gradients in forward pair
     order: from four domains on, any other order changes the rounding.
     With an arm axis the arms in ``arms`` are stacked through the same
-    steps. Domains of unequal size need no ``batch.quota``.
+    steps. A batch whose ids are not equal blocks in ascending order
+    (``batch.quota`` None) is regrouped by id, with the same bits.
     """
-    F = batch.features
-    return _node(_coral(F.data, batch.domain_ids, batch.quota, arms), (F,), arms)
+    return _node(_coral, (batch.features,), arms, batch.domain_ids, batch.quota)
 
 
-def _explore_l2(z1, z2, arms):
+def _explore_l2(z1, z2):
     if z1.shape != z2.shape:
         raise ValueError(f"shapes differ: {z1.shape} vs {z2.shape}")
-    diff = _rows(z1, arms) - _rows(z2, arms)
-    s = -1.0 / z1.shape[-2]
-
-    def backward(g, add1, add2):
-        gd = _arm_grad(g, arms) * s * diff
-        gd = gd + gd
-        add1(gd)
-        add2(-gd)
-
-    return _per_arm_sum(diff * diff) * s, backward
+    return _gap(z1 - z2, -1.0 / z1.shape[-2])
 
 
 def exploration_l2(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
@@ -267,15 +264,14 @@ def exploration_l2(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     One graph node, with the bits of
     ``scale(sum_all(mul(d, d)), -1/rows)`` with ``d = sub(z1, z2)``.
     """
-    return _node(_explore_l2(z1.data, z2.data, arms), (z1, z2), arms)
+    return _node(_explore_l2, (z1, z2), arms)
 
 
-def _explore_norm_l1(z1, z2, arms):
+def _explore_norm_l1(z1, z2):
     if z1.shape != z2.shape:
         raise ValueError(f"shapes differ: {z1.shape} vs {z2.shape}")
     heads = []
-    for z in (z1, z2):
-        x = _rows(z, arms)
+    for x in (z1, z2):
         norms = np.sqrt(_sum(x * x, axis=-1))
         if np.any(norms <= 1e-12):
             raise ValueError("zero-norm row; cannot normalize")
@@ -284,7 +280,7 @@ def _explore_norm_l1(z1, z2, arms):
     s = -1.0 / z1.shape[-2]
 
     def backward(g, *adds):
-        g_diff = (_arm_grad(g, arms) * s + 0.0) * np.sign(diff) + 0.0
+        g_diff = (g[..., None, None] * s + 0.0) * np.sign(diff) + 0.0
         for (x, norms, _), g_unit, add in zip(heads, (g_diff, 0.0 - g_diff), adds):
             add(g_unit / norms[..., None])
             g_norms = 0.0 - _sum(g_unit * x, axis=-1) / (norms * norms)
@@ -308,7 +304,7 @@ def exploration_norm_l1(z1: Tensor, z2: Tensor, arms=None) -> Tensor:
     tape order: each head takes its division's gradient, then its
     product's two; the ``+ 0.0`` keep the sign of zero of a zeroed buffer.
     """
-    return _node(_explore_norm_l1(z1.data, z2.data, arms), (z1, z2), arms)
+    return _node(_explore_norm_l1, (z1, z2), arms)
 
 
 # (part, weight field, exploration variant, array core, heads it reads) of
@@ -383,15 +379,10 @@ def total_objective(batch: DomainBatch, teacher_feat, outputs, w):
     total = cls
     logged = [("cls", cls, plan.arms)]
     terms = []
+    consts = {"mse": (teacher_feat,), "align": (batch.domain_ids, batch.quota)}
     for key, core, heads, arms, on, lam in plan.terms:
-        if key == "mse":
-            args = (z1.data, teacher_feat)
-        elif key == "align":
-            args = (z2.data, batch.domain_ids, batch.quota)
-        else:
-            args = (z1.data, z2.data)
-        value, backward = core(*args, arms)
-        value = _padded(value, arms, len(plan.arms))
+        arrays = [(z1, z2)[h].data for h in heads]
+        value, backward = _on_arms(core, arrays, arms, *consts.get(key, ()))
         total = total + value * lam
         logged.append((key, value, on))
         terms.append((backward, lam, [add_to(h, arms) for h in heads]))

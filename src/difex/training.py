@@ -66,6 +66,7 @@ _STREAM_TEACHER_BATCH = 42
 _STREAM_STUDENT_INIT = 43
 _STREAM_VIRTUAL = 47
 _STREAM_STUDENT_BATCH = 53
+_VIRTUAL_DRAWS = 1000  # draws of pseudo-domain labels before a k is hopeless
 
 
 @dataclass
@@ -226,14 +227,13 @@ def assign_virtual_domains(ds: DomainDataset, k: int, seed=0):
     if k > len(ds):
         raise ValueError(f"k={k} exceeds {len(ds)} samples")
     rng = stream(seed, _STREAM_VIRTUAL)
-    labels = rng.integers(0, k, size=len(ds))
-    while np.bincount(labels, minlength=k).min() == 0:
+    for _ in range(_VIRTUAL_DRAWS):
         labels = rng.integers(0, k, size=len(ds))
-    out = []
-    for j in range(k):
-        rows = np.flatnonzero(labels == j)
-        out.append(DomainDataset(j, ds.X[rows], ds.y[rows]))
-    return out
+        if np.bincount(labels, minlength=k).min() > 0:
+            rows = [np.flatnonzero(labels == j) for j in range(k)]
+            return [DomainDataset(j, ds.X[r], ds.y[r]) for j, r in enumerate(rows)]
+    raise ValueError(f"k={k} pseudo-domains: no draw of {len(ds)} samples "
+                     f"in {_VIRTUAL_DRAWS} left every one non-empty")
 
 
 def _split_pool(sources, cfg, input_kind):
@@ -348,9 +348,10 @@ def _train_arms(sources, cfgs):
     lockstep; the returned ``train(teacher)`` gives their RunResults in order.
 
     The set-up needs no teacher, so a caller runs every check of it first:
-    the domains to balance over (one source with ``virtual_domains`` set
-    gives its pseudo-domains), the batch quota, the split and pooled rows,
-    the ``data.MAX_CELLS`` weight count and the batch fill.
+    alignment's domain count and the batch quota, both on the number of
+    domains to balance over (one source with ``virtual_domains`` set gives
+    that many pseudo-domains), then the pseudo-domains' draw, the split and
+    pooled rows, the ``data.MAX_CELLS`` weight count and the batch fill.
 
     All arms draw the same batches and initial weights from the seed, so
     one init is stacked A times and every step feeds the batch's rows
@@ -358,12 +359,14 @@ def _train_arms(sources, cfgs):
     """
     cfg, n_arms = cfgs[0], len(cfgs)
     weights = [effective_weights(c) for c in cfgs]
-    if len(sources) == 1 and cfg.virtual_domains:
-        sources = assign_virtual_domains(sources[0], cfg.virtual_domains, cfg.seed)
-    if any(w.lambda2 > 0 for w in weights) and len(sources) < 2:
+    virtual = len(sources) == 1 and cfg.virtual_domains
+    m = cfg.virtual_domains if virtual else len(sources)
+    if any(w.lambda2 > 0 for w in weights) and m < 2:
         raise ValueError("alignment needs >= 2 source domains (or virtual_domains set)")
     # every batch is ``quota`` rows of each domain in turn (batch_index_stream)
-    quota = _domain_quota(cfg.batch_size, len(sources))
+    quota = _domain_quota(cfg.batch_size, m)
+    if virtual:
+        sources = assign_virtual_domains(sources[0], m, cfg.seed)
     input_kind = _input_kind(cfg)
     train_list, (Xtr, ytr, domain_rows), val, classes = _split_pool(sources, cfg, input_kind)
     h, d = cfg.hidden, cfg.feature_dim
@@ -376,8 +379,7 @@ def _train_arms(sources, cfgs):
     domain_ids = np.repeat(np.arange(len(domain_rows)), quota)
     plan = _Plan(weights if n_arms > 1 else weights[0])
     # one batch of the run's shape, checked once; each step sets its rows
-    batch = DomainBatch(Tensor(np.zeros((len(domain_ids), 0))), domain_ids,
-                        domain_ids, quota)
+    batch = DomainBatch(Tensor(np.zeros((len(domain_ids), 0))), domain_ids, domain_ids)
 
     def train(teacher):
         if plan.distills and teacher is None:

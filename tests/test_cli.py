@@ -21,6 +21,9 @@ from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
 from difex.model import StudentModel, TeacherModel, load_checkpoint, save_checkpoint
 from difex.training import TrainConfig
 
+# the package source, for tests that run the CLI in a child process
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 GEN_CFG = """\
 domains = 3
 classes = 3
@@ -397,6 +400,30 @@ def test_a_lone_source_to_align_exits_two_before_any_teacher(
     assert capsys.readouterr().err == ("difex: error: alignment needs >= 2 source "
                                        "domains (or virtual_domains set)\n")
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command, text, error", [
+    # the quota of 32 rows over 300 pseudo-domains, before any draw
+    ("train", "", "batch_size 32 cannot give 300 domains"),
+    # 600 rows rarely fill 300 pseudo-domains: the redraws are bounded
+    ("train", "batch_size = 600\n", "k=300 pseudo-domains: no draw of 600 samples"),
+    ("ablate", "batch_size = 600\n", "k=300 pseudo-domains: no draw of 600 samples"),
+])
+def test_a_hopeless_virtual_domain_count_exits_two(tmp_path, command, text, error):
+    gen = write(tmp_path / "g.cfg", "domains = 2\nclasses = 6\nper_class = 100\n"
+                "length = 32\nchannels = 2\nnoise = 0.1\nseed = 0\n")
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", gen, "--out", data]) == 0
+    cfg = write(tmp_path / "t.cfg", "virtual_domains = 300\n" + text)
+    args = ["--target", "0"] if command == "train" else ["--seeds", "0"]
+    env = dict(os.environ, PYTHONPATH=SRC, DIFEX_THREADS="1")
+    # in a child process, so that a hang fails the test instead of the suite
+    res = subprocess.run([sys.executable, "-m", "difex.cli", command, data,
+                          "--config", cfg, *args, "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"difex: error: {error}")
+    assert res.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("out", ["F", os.path.join("F", "sub"), ""])
@@ -780,9 +807,7 @@ def test_saved_student_reloads_identically(workspace):
 
 
 def test_importing_the_cli_loads_neither_a_pool_nor_subprocess():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     code = ("import difex.cli, sys; "
             "print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
@@ -793,11 +818,9 @@ def test_importing_the_cli_loads_neither_a_pool_nor_subprocess():
 
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_importing_the_cli_sets_one_blas_thread_unless_one_is_set(preset):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in names}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"] = SRC
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = ("import os, difex.cli; "

@@ -204,13 +204,18 @@ def coral_chain(batch: DomainBatch):
     return scale(total, 1.0 / (len(covs) * (len(covs) - 1) // 2))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_alignment_is_bit_identical_to_the_op_chain(k):
-    # ragged, interleaved groups; a second branch also feeds the features,
-    # so their gradient sums contributions in the order the tape runs them
+@pytest.mark.parametrize("k, blocks", [(k, False) for k in range(2, 7)] + [(4, True)],
+                         ids=[str(k) for k in range(2, 7)] + ["4-blocks"])
+def test_alignment_is_bit_identical_to_the_op_chain(k, blocks):
+    # ragged, interleaved groups, or equal ascending blocks (the trainer's
+    # layout, which alignment reshapes); a second branch also feeds the
+    # features, so their gradient sums contributions in the order the tape
+    # runs them
     rng = np.random.default_rng(100 + k)
     sizes = [2, 5, 3, 7, 4, 6][:k]
-    ids = rng.permutation(np.repeat(np.arange(k), sizes))
+    ids = (np.repeat(np.arange(k), 5) if blocks
+           else rng.permutation(np.repeat(np.arange(k), sizes)))
+    assert (batch_of(np.zeros((len(ids), 1)), ids).quota == 5) == blocks
     f0 = rng.normal(size=(len(ids), 5))
     const = rng.normal(size=f0.shape)
     results = []
@@ -472,3 +477,24 @@ def test_weight_validation():
 def test_domain_batch_validation():
     with pytest.raises(ValueError):
         DomainBatch(Tensor(np.zeros((3, 2))), np.zeros(2), np.zeros(3))
+    with pytest.raises(TypeError):  # the layout comes from the ids alone
+        DomainBatch(Tensor(np.zeros((4, 2))), np.zeros(4), np.zeros(4), 2)
+
+
+@pytest.mark.parametrize("ids, quota", [
+    ([0, 0, 1, 1, 2, 2], 2), ([3, 3, 3, 7, 7, 7], 3), ([0] * 4, 4),
+    ([0, 1, 0, 1], None),  # interleaved
+    ([1, 1, 0, 0], None),  # descending blocks
+    ([0, 0, 0, 1, 1, 2], None), ([0, 0, 0, 1], None),  # ragged
+    ([], None),
+])
+def test_domain_batch_reads_its_block_layout_from_its_ids(ids, quota):
+    assert batch_of(np.zeros((len(ids), 2)), ids).quota == quota
+
+
+def test_interleaved_ids_align_by_domain():
+    # rows 0, 2, 4 against 1, 3, 5, not the first three against the last
+    f = np.random.default_rng(0).normal(size=(6, 3))
+    value = float(coral_loss(batch_of(f, [0, 1, 0, 1, 0, 1])).data)
+    regrouped = float(coral_loss(batch_of(f[[0, 2, 4, 1, 3, 5]], [0, 0, 0, 1, 1, 1])).data)
+    assert value == regrouped and round(value, 4) == 12.2745

@@ -69,8 +69,7 @@ def student_case(layout, weights, variant, seed=3):
     def step(model, chain):
         rows = Tensor(np.tile(x, (len(ws), 1)))
         out = student_chain(model, rows) if chain else model.forward(rows)
-        # the trainer's batches carry their layout; the chain regroups by id
-        batch = DomainBatch(out.z2, y, ids, None if chain else quota)
+        batch = DomainBatch(out.z2, y, ids)
         objective = objective_chain if chain else total_objective
         total, parts = objective(batch, teacher, out, ws if len(ws) > 1 else ws[0])
         return (sum_all(total) if len(ws) > 1 else total), total.data, parts
@@ -97,7 +96,7 @@ def test_stacked_student_node_matches_the_layer_chain(variant, layout):
 def test_a_batch_of_one_domain_block_cannot_align():
     out = StudentModel(8, 6, 4, 3, np.random.default_rng(0)).forward(
         Tensor(np.ones((6, 8))))
-    batch = DomainBatch(out.z2, np.zeros(6, dtype=int), np.zeros(6, dtype=int), 6)
+    batch = DomainBatch(out.z2, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
     weights = effective_weights(TrainConfig(mode="no-intern"))
     with pytest.raises(ValueError, match="2 domains"):
         total_objective(batch, None, out, weights)

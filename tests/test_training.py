@@ -8,7 +8,7 @@ import pytest
 
 import difex.training
 from difex.autodiff import AdamW, NonFiniteError, Tensor, softmax_cross_entropy
-from difex.data import BenchConfig, generate
+from difex.data import BenchConfig, DomainDataset, generate
 from difex.fourier import fft, phase
 from difex.losses import DomainBatch, LossWeights, total_objective
 from difex.model import StudentModel, TeacherModel
@@ -123,8 +123,6 @@ def test_split_is_seed_deterministic():
 
 
 def test_split_rejects_thin_data():
-    from difex.data import DomainDataset
-
     tiny = generate(BenchConfig(domains=1, classes=2, per_class=2, length=8))[0]
     with pytest.raises(ValueError, match="5 samples"):
         train_val_split(tiny)
@@ -175,6 +173,11 @@ def test_virtual_domains_partition_the_source():
         assign_virtual_domains(ds, 1)
     with pytest.raises(ValueError):
         assign_virtual_domains(ds, len(ds) + 1)
+    # 20 rows in 20 non-empty parts: about 2e-8 of the draws; a bounded
+    # number of redraws, then an error naming k and the rows
+    ds = DomainDataset(0, ds.X[:20], ds.y[:20])
+    with pytest.raises(ValueError, match="k=20 pseudo-domains: no draw of 20 samples"):
+        assign_virtual_domains(ds, len(ds))
 
 
 # -- the zero-weight path is a bare classifier loop -----------------------
