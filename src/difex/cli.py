@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NonFiniteError
-from .data import BenchConfig, DataError, generate, load_dir, save_csv
+from .data import (BenchConfig, DataError, dataset_files, generate, load_dir,
+                   save_csv, write_csv)
 from .fourier import row_views
 from .model import load_checkpoint, save_checkpoint
 from .training import MODES, TrainConfig, evaluate, run_arms, run_leave_one_out
@@ -149,6 +150,13 @@ def _check_out_dir(out):
         raise DataError(f"--out {out!r}: {probe!r} is not a directory")
 
 
+def _check_out_spares_data(out, data):
+    """Refuse, before any work, an ``--out`` that is the dataset directory
+    ``data``, its manifest.json or a file that manifest lists."""
+    if os.path.realpath(out) in map(os.path.realpath, [data, *dataset_files(data)]):
+        raise DataError(f"--out {out!r} would overwrite the dataset {data!r}")
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -178,19 +186,9 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def write_table(rows, path):
-    """A CSV of dict rows; the columns are the keys of the first row, in
-    its order. Values are written with ``str``, which for a float is its
-    shortest round-trip repr."""
-    cols = list(rows[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
-
-
 def cmd_train(args):
     _check_out_dir(args.out)
+    _check_out_spares_data(args.out, args.data)
     domains = load_dir(args.data)
     cfg = _train_config(args.config, args.mode, args.seed)
     result = run_leave_one_out(domains, args.target, cfg)
@@ -200,7 +198,8 @@ def cmd_train(args):
     if result.teacher is not None:
         save_checkpoint(result.teacher, os.path.join(args.out, "teacher.ckpt"),
                         seed=cfg.seed)
-    write_table(result.metrics, os.path.join(args.out, "metrics.csv"))
+    write_csv(os.path.join(args.out, "metrics.csv"), result.metrics[0],
+              map(dict.values, result.metrics))
     _write_manifest(os.path.join(args.out, "manifest.json"), {
         "command": "train",
         "data": os.path.abspath(args.data),
@@ -244,6 +243,7 @@ def _worker_count(n_cells):
 
 def cmd_ablate(args):
     _check_out_dir(args.out)
+    _check_out_spares_data(args.out, args.data)
     domains = load_dir(args.data)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
@@ -274,7 +274,7 @@ def cmd_ablate(args):
     rows.sort(key=lambda r: (r["target"], ABLATION_ARMS.index(r["mode"]), r["seed"]))
 
     os.makedirs(args.out, exist_ok=True)
-    write_table(rows, os.path.join(args.out, "runs.csv"))
+    write_csv(os.path.join(args.out, "runs.csv"), rows[0], map(dict.values, rows))
 
     names = [f"target_{t}" for t in targets] + ["overall"]
     summary_rows = []
@@ -291,7 +291,8 @@ def cmd_ablate(args):
             row[f"{name}_mean"], row[f"{name}_std"] = mean, std
         summary_rows.append(row)
         lines.append(f"{arm:<10}" + "  ".join(f"{m:.4f}±{s:.4f}" for m, s in stats))
-    write_table(summary_rows, os.path.join(args.out, "summary.csv"))
+    write_csv(os.path.join(args.out, "summary.csv"), summary_rows[0],
+              map(dict.values, summary_rows))
     table = "\n".join(lines) + "\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)
@@ -333,6 +334,7 @@ def _parse_ids(spec_str, domains):
 
 
 def cmd_motivate(args):
+    _check_out_spares_data(args.out, args.data)
     domains = load_dir(args.data)
     by_domain = {ds.domain: ds for ds in domains}
     if args.ids:
@@ -349,9 +351,7 @@ def cmd_motivate(args):
     classes = {int(by_domain[d].y[i]) for d, i in picks}
     if len(classes) > 1:
         raise DataError(f"samples span classes {sorted(classes)}; pick one class")
-    n_ch, length = by_domain[picks[0][0]].X.shape[1:]
-    if any(by_domain[d].X.shape[1:] != (n_ch, length) for d, _ in picks):
-        raise DataError("samples have inconsistent shapes")
+    length = domains[0].X.shape[2]  # load_dir holds every dataset to one shape
     # picks x channels x length; every channel of every pick in one transform
     raw = np.stack([by_domain[d].X[i] for d, i in picks])
     views = (("raw", raw),) + tuple(zip(("amp", "phase", "recon"), row_views(raw)))
@@ -360,12 +360,10 @@ def cmd_motivate(args):
         for group, view in views:
             names.append(f"{group}_d{d}_{i}")
             columns.append(view[k].reshape(-1))
-    # one row per (channel, bin), as Python floats for repr
+    # one row per (channel, bin); tolist() gives Python floats, so str is repr
     table = np.stack(columns, axis=1).tolist()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("channel,bin," + ",".join(names) + "\n")
-        for row, vals in enumerate(table):
-            fh.write(f"{row // length},{row % length},{','.join(map(repr, vals))}\n")
+    write_csv(args.out, ["channel", "bin", *names],
+              ([row // length, row % length, *vals] for row, vals in enumerate(table)))
     print(f"wrote {4 * len(picks)} column groups "
           f"({len(picks)} sample(s)) to {args.out}")
     return EXIT_OK

@@ -46,9 +46,11 @@ __all__ = [
     "MAX_CELLS",
     "generate",
     "leave_one_out",
+    "write_csv",
     "save_csv",
     "load_csv",
     "load_dir",
+    "dataset_files",
     "domain_shift_report",
     "stream",
 ]
@@ -465,18 +467,24 @@ def leave_one_out(domains, target):
 
 
 def _header(width):
-    return "domain,label," + ",".join(f"f_{i}" for i in range(width))
+    return ["domain", "label", *(f"f_{i}" for i in range(width))]
+
+
+def write_csv(path, header, rows):
+    """Every CSV difex writes: a line of the ``header`` names, then one per
+    row, its values joined by commas with ``str`` (a float's shortest repr)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_csv(ds: DomainDataset, path):
-    """One row per sample, features flattened channel-major, floats written
-    as shortest round-trip decimals."""
+    """One row per sample, its domain, label and features flattened
+    channel-major, written by `write_csv`."""
     flat = ds.X.reshape(len(ds), -1)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_header(flat.shape[1]) + "\n")
-        # repr of a tolist() float is repr(float(v)), without a numpy scalar
-        for label, row in zip(ds.y.tolist(), flat.tolist()):
-            fh.write(f"{ds.domain},{label},{','.join(map(repr, row))}\n")
+    # tolist() gives Python floats, whose str is their repr, not numpy's
+    rows = ([ds.domain, label, *row] for label, row in zip(ds.y.tolist(), flat.tolist()))
+    write_csv(path, _header(flat.shape[1]), rows)
 
 
 def _read_manifest(path):
@@ -510,6 +518,12 @@ def _manifest_channels(path):
     return _read_manifest(manifest)["channels"]
 
 
+def dataset_files(path):
+    """The dataset directory ``path``'s manifest.json, then each file it lists."""
+    manifest = os.path.join(path, "manifest.json")
+    return [manifest] + [os.path.join(path, f) for f in _read_manifest(manifest)["files"]]
+
+
 def load_dir(path, domains=None):
     """The datasets of a directory written by `generate`: the CSV files
     its manifest.json lists, in that order.
@@ -518,7 +532,9 @@ def load_dir(path, domains=None):
     are returned. A file whose first data row names a domain outside the
     set is skipped after its first two lines, unparsed; any other file is
     loaded in full, so it fails as it would without the filter. Two
-    returned datasets of one domain are an error.
+    returned datasets of one domain are an error, and so are two of
+    different sample shapes (channels, length): the error names both
+    files.
     """
     manifest = _read_manifest(os.path.join(path, "manifest.json"))
     if not manifest["files"]:
@@ -535,6 +551,10 @@ def load_dir(path, domains=None):
             if ds.domain in names:
                 raise DataError(f"{path}: domain {ds.domain} is in both "
                                 f"{names[ds.domain]} and {name}")
+            if out and ds.X.shape[1:] != out[0].X.shape[1:]:
+                raise DataError(f"{path}: samples (channels, length) are "
+                                f"{out[0].X.shape[1:]} in {names[out[0].domain]}, "
+                                f"{ds.X.shape[1:]} in {name}")
             names[ds.domain] = name
             out.append(ds)
     return out
@@ -566,7 +586,7 @@ def load_csv(path, channels=None) -> DomainDataset:
     if not lines:
         raise DataError(f"{path}: empty file")
     width = lines[0].count(",") - 1
-    if width < 1 or lines[0] != _header(width):
+    if width < 1 or lines[0].split(",") != _header(width):
         raise DataError(f"{path}:1: unknown header")
     if channels is None:
         channels = _manifest_channels(path)

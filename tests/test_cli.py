@@ -508,6 +508,64 @@ def test_a_domain_listed_twice_exits_two_naming_both_files(workspace, tmp_path, 
     assert not out.exists()
 
 
+def _refuse_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training began")
+
+    monkeypatch.setattr(difex.cli, "run_leave_one_out", refuse)
+    monkeypatch.setattr(difex.cli, "run_arms", refuse)
+    monkeypatch.setenv("DIFEX_THREADS", "1")  # so ablate's cells run here
+
+
+def _snapshot(root):
+    """Every file under ``root`` with its bytes, symlinked directories not followed."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command,out", [
+    ("train", "data"), ("train", os.path.join("data", ".")), ("train", "link"),
+    ("ablate", "data"), ("ablate", "link"),
+    ("motivate", os.path.join("data", "manifest.json")),
+    ("motivate", os.path.join("link", "domain_1.csv")),
+])
+def test_an_out_in_the_dataset_exits_two_and_changes_nothing(
+    workspace, tmp_path, capsys, monkeypatch, command, out,
+):
+    _refuse_training(monkeypatch)
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    os.symlink(data, tmp_path / "link")
+    before = _snapshot(tmp_path)
+    cfg = ["--config", workspace["train_cfg"]]
+    args = {"train": [*cfg, "--target", "0"], "ablate": [*cfg, "--seeds", "1"],
+            "motivate": []}
+    assert main([command, str(data), *args[command], "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"difex: error: --out {str(tmp_path / out)!r} would overwrite "
+                   f"the dataset {str(data)!r}\n")
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--target", "2"], ["train", "--target", "0"],
+    ["ablate", "--seeds", "1"], ["motivate"],
+], ids=["train-2", "train-0", "ablate", "motivate"])
+def test_a_dataset_of_two_sample_shapes_exits_two_naming_both_files(
+    workspace, tmp_path, capsys, monkeypatch, argv,
+):
+    _refuse_training(monkeypatch)
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    cut = load_dir(str(data), domains={2})[0]
+    save_csv(DomainDataset(2, cut.X[:, :, :8], cut.y), data / "domain_2.csv")
+    out = tmp_path / "o"
+    assert main([argv[0], str(data), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"difex: error: {data}: samples (channels, length) are (2, 16) in "
+        "domain_0.csv, (2, 8) in domain_2.csv\n")
+    assert not out.exists()
+
+
 # -- eval -----------------------------------------------------------------
 
 

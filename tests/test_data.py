@@ -16,6 +16,7 @@ from difex.data import (
     load_csv,
     load_dir,
     save_csv,
+    write_csv,
 )
 from difex.fourier import amplitude, fft, per_channel_phase
 
@@ -290,6 +291,14 @@ def test_save_csv_writes_each_value_as_repr_of_its_float(tmp_path):
     assert lines[2] == "7,3,1e+16,123456789.0,-2.5"
 
 
+def test_write_csv_joins_each_value_with_str(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [[1, 0.1, "x"], (-0.0, 1e16, 5e-324)])
+    assert path.read_bytes() == b"a,b,c\n1,0.1,x\n-0.0,1e+16,5e-324\n"
+    write_csv(path, {"only": 0}, [])  # a dict header is its keys
+    assert path.read_bytes() == b"only\n"
+
+
 def _write_dir(path, datasets, order=None):
     names = [f"domain_{ds.domain}.csv" for ds in datasets]
     for ds, name in zip(datasets, names):
@@ -343,6 +352,17 @@ def test_load_dir_with_domains_loads_what_it_cannot_rule_out(tmp_path):
     assert [ds.domain for ds in load_dir(tmp_path, domains={0})] == [0]
     with pytest.raises(DataError, match="domain_1"):
         load_dir(tmp_path, domains={1})
+
+
+def test_load_dir_refuses_two_sample_shapes_naming_both_files(tmp_path):
+    a, b, c = generate(small_cfg())
+    _write_dir(tmp_path, [a, DomainDataset(1, b.X[:, :, :16], b.y), c])
+    with pytest.raises(DataError, match=r"samples \(channels, length\) are \(2, 32\) "
+                       r"in domain_0.csv, \(2, 16\) in domain_1.csv$"):
+        load_dir(tmp_path)
+    # only the returned datasets must agree: a filter that drops one shape loads
+    assert [ds.domain for ds in load_dir(tmp_path, domains={0, 2})] == [0, 2]
+    assert load_dir(tmp_path, domains={1})[0].X.shape == (32, 2, 16)
 
 
 def test_load_dir_with_domains_reads_two_lines_of_a_wide_file(tmp_path):
