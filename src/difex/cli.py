@@ -150,11 +150,29 @@ def _check_out_dir(out):
         raise DataError(f"--out {out!r}: {probe!r} is not a directory")
 
 
-def _check_out_spares_data(out, data):
+def _check_out_file(out):
+    """Refuse, before any work, an ``--out`` file whose directory does not
+    exist, or that is a directory."""
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise DataError(f"--out {out!r}: {parent!r} is not a directory")
+    if not out or os.path.isdir(out):
+        raise DataError(f"--out {out!r} is not a file name")
+
+
+def _check_out_spares_data(out, data, path):
     """Refuse, before any work, an ``--out`` that is the dataset directory
-    ``data``, its manifest.json or a file that manifest lists."""
+    ``data``, its manifest.json or a file that manifest lists; or one that
+    would write ``path`` over any other dataset: a manifest.json that lists
+    "files", or a file that the manifest in ``path``'s directory lists. A
+    run directory's manifest lists none, so it can be written again."""
     if os.path.realpath(out) in map(os.path.realpath, [data, *dataset_files(data)]):
         raise DataError(f"--out {out!r} would overwrite the dataset {data!r}")
+    real = os.path.realpath(path)
+    # the directory as named, then the one a symlinked path writes into
+    for directory in (os.path.dirname(path) or ".", os.path.dirname(real)):
+        if real in map(os.path.realpath, dataset_files(directory)):
+            raise DataError(f"--out {out!r} would overwrite the dataset {directory!r}")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -188,7 +206,7 @@ def cmd_generate(args):
 
 def cmd_train(args):
     _check_out_dir(args.out)
-    _check_out_spares_data(args.out, args.data)
+    _check_out_spares_data(args.out, args.data, os.path.join(args.out, "manifest.json"))
     domains = load_dir(args.data)
     cfg = _train_config(args.config, args.mode, args.seed)
     result = run_leave_one_out(domains, args.target, cfg)
@@ -243,7 +261,7 @@ def _worker_count(n_cells):
 
 def cmd_ablate(args):
     _check_out_dir(args.out)
-    _check_out_spares_data(args.out, args.data)
+    _check_out_spares_data(args.out, args.data, os.path.join(args.out, "manifest.json"))
     domains = load_dir(args.data)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
@@ -334,7 +352,8 @@ def _parse_ids(spec_str, domains):
 
 
 def cmd_motivate(args):
-    _check_out_spares_data(args.out, args.data)
+    _check_out_file(args.out)
+    _check_out_spares_data(args.out, args.data, args.out)
     domains = load_dir(args.data)
     by_domain = {ds.domain: ds for ds in domains}
     if args.ids:
@@ -398,10 +417,10 @@ def build_parser():
     def common(p):
         p.add_argument("data", help="dataset directory (from `generate`)")
         p.add_argument("--config", help="flat key=value training config")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="one leave-one-domain-out training run")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", type=int, required=True, help="held-out domain id")
     p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--out", required=True, help="output directory")

@@ -519,9 +519,19 @@ def _manifest_channels(path):
 
 
 def dataset_files(path):
-    """The dataset directory ``path``'s manifest.json, then each file it lists."""
+    """The directory ``path``'s manifest.json, then each file it lists, when
+    that manifest is a JSON object with "files"; else none, as for a run
+    directory. Nothing else of the manifest is checked; `load_dir` does that."""
     manifest = os.path.join(path, "manifest.json")
-    return [manifest] + [os.path.join(path, f) for f in _read_manifest(manifest)["files"]]
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            listed = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if not isinstance(listed, dict) or "files" not in listed:
+        return []
+    files = listed["files"] if isinstance(listed["files"], list) else []
+    return [manifest] + [os.path.join(path, f) for f in files if isinstance(f, str)]
 
 
 def load_dir(path, domains=None):
@@ -664,7 +674,6 @@ def domain_shift_report(domains, seed=0, steps=150):
         for _ in range(steps):
             _, logits = probe.forward(Tensor(Z[tr]))
             loss = softmax_cross_entropy(logits, dom[tr])
-            opt.zero_grad()
             loss.backward()
             opt.step()
         report[kind] = float(np.mean(predict(probe, Z[te]) == dom[te]))

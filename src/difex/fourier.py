@@ -45,10 +45,6 @@ class Spectrum:
                 f"re/im shapes differ: {self.re.shape} vs {self.im.shape}"
             )
 
-    @property
-    def shape(self):
-        return self.re.shape
-
 
 def dft_naive(signal) -> Spectrum:
     """Direct double-loop evaluation of Σ_h x(h)·e^{−j2πhu/N}.

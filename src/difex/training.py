@@ -378,7 +378,8 @@ def _train_arms(sources, cfgs):
     _check_fill(cfg.batch_size, quota, [len(ds) for ds in train_list])
     domain_ids = np.repeat(np.arange(len(domain_rows)), quota)
     plan = _Plan(weights if n_arms > 1 else weights[0])
-    # one batch of the run's shape, checked once; each step sets its rows
+    # one batch of the run's shape, checked once; each step sets its labels, and
+    # total_objective reads the features from the student's outputs
     batch = DomainBatch(Tensor(np.zeros((len(domain_ids), 0))), domain_ids, domain_ids)
 
     def train(teacher):
@@ -398,7 +399,7 @@ def _train_arms(sources, cfgs):
             for idx in batch_index_stream(domain_rows, cfg.batch_size, rng):
                 rows = Xtr[idx] if n_arms == 1 else np.tile(Xtr[idx], (n_arms, 1))
                 out = student.forward(Tensor._op(rows, ()))  # rows checked
-                batch.features, batch.labels = out.z2, ytr[idx]
+                batch.labels = ytr[idx]
                 tf = teacher_feat[idx] if teacher_feat is not None else None
                 total, parts = total_objective(batch, tf, out, plan)
                 if n_arms == 1:
@@ -422,11 +423,10 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
     score each on the held-out domain; results follow ``modes``, which
     must share one input kind.
 
-    The teacher depends on everything in the config except the mode, so
-    it is trained once, for the first mode that distills, and every
-    distilling mode learns from that one teacher; the students train in
-    lockstep. Mixed kinds and every check of the students' set-up fail
-    before any teacher.
+    The teacher reads nothing of the config's mode, so it trains once,
+    from ``cfg``, when any mode distills, and every distilling mode learns
+    from that one teacher; the students train in lockstep. Mixed kinds and
+    every check of the students' set-up fail before any teacher.
     """
     arms = [replace(cfg, mode=mode) for mode in modes]
     if len({_input_kind(arm) for arm in arms}) != 1:
@@ -437,7 +437,7 @@ def run_arms(domains, target, cfg: TrainConfig, modes) -> list:
         # through train_student, whose cfg names the arm in bench/tracer.py: set up twice
         train = lambda teacher: [train_student(sources, teacher, arms[0])]
     distills = [effective_weights(arm).lambda1 > 0 for arm in arms]
-    teacher = train_teacher(sources, arms[distills.index(True)]) if any(distills) else None
+    teacher = train_teacher(sources, cfg) if any(distills) else None
     results = train(teacher)
     for result, distilled in zip(results, distills):
         result.teacher = teacher if distilled else None

@@ -1,9 +1,12 @@
 """End-to-end command tests: exit codes, artifacts, reproducibility."""
 
+import argparse
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +18,7 @@ import pytest
 
 import difex.cli
 import difex.training
-from difex.cli import main
+from difex.cli import build_parser, main
 from difex.data import BenchConfig, DomainDataset, generate, load_dir, save_csv
 from difex.fourier import amplitude, fft, phase, reconstruct_phase_only
 from difex.model import StudentModel, TeacherModel, load_checkpoint, save_checkpoint
@@ -457,6 +460,16 @@ def test_repeated_train_config_key_exits_two(workspace, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_every_option_of_a_command_is_read_by_it():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("fn"))
+        for action in parser._actions:
+            if action.dest != "help":
+                assert re.search(rf"\bargs\.{action.dest}\b", source), (name, action.dest)
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -544,6 +557,48 @@ def test_an_out_in_the_dataset_exits_two_and_changes_nothing(
     assert err == (f"difex: error: --out {str(tmp_path / out)!r} would overwrite "
                    f"the dataset {str(data)!r}\n")
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command,out,dataset", [
+    ("train", "dB", "dB"), ("train", "linkB", "linkB"), ("ablate", "dB", "dB"),
+    ("motivate", os.path.join("dB", "domain_0.csv"), "dB"),
+    ("motivate", os.path.join("dB", "manifest.json"), "dB"),
+    ("motivate", "x.csv", "dB"),  # a symlink to dB/domain_0.csv
+])
+def test_an_out_over_another_dataset_exits_two_and_changes_nothing(
+    workspace, tmp_path, capsys, monkeypatch, command, out, dataset,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(difex.cli, "load_dir", refuse)
+    for name in ("d1", "dB"):
+        shutil.copytree(workspace["data"], tmp_path / name)
+    os.symlink(tmp_path / "dB", tmp_path / "linkB")
+    os.symlink(tmp_path / "dB" / "domain_0.csv", tmp_path / "x.csv")
+    before = _snapshot(tmp_path)
+    cfg = ["--config", workspace["train_cfg"]]
+    args = {"train": [*cfg, "--target", "0"], "ablate": [*cfg, "--seeds", "1"],
+            "motivate": []}
+    out = str(tmp_path / out)
+    assert main([command, str(tmp_path / "d1"), *args[command], "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"difex: error: --out {out!r} would overwrite the dataset "
+        f"{str(tmp_path / dataset)!r}\n")
+    assert _snapshot(tmp_path) == before
+
+
+def test_a_run_directory_and_a_generate_out_can_be_written_again(workspace, tmp_path):
+    run, data = str(tmp_path / "run"), str(tmp_path / "data")
+    shutil.copytree(workspace["run"], run)
+    shutil.copytree(workspace["data"], data)
+    cfg = ["--config", workspace["train_cfg"]]
+    assert main(["train", data, *cfg, "--target", "0", "--seed", "1", "--out", run]) == 0
+    assert main(["generate", "--config", workspace["gen_cfg"], "--out", data]) == 0
+    for name in ("student.ckpt", "teacher.ckpt", "metrics.csv"):
+        with open(os.path.join(workspace["run"], name), "rb") as a, \
+                open(os.path.join(run, name), "rb") as b:
+            assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("argv", [
@@ -702,6 +757,18 @@ def test_ablate_grid_and_thread_equivalence(workspace, tmp_path, monkeypatch):
     assert "overall_mean" in summary[0]
 
 
+def test_ablate_seed_is_its_seeds_option(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("DIFEX_THREADS", "1")
+    runs = []
+    for flag in ("--seed", "--seeds"):
+        out = tmp_path / flag.strip("-")
+        assert main(["ablate", workspace["data"], "--config", workspace["train_cfg"],
+                     flag, "3", "--out", str(out)]) == 0
+        runs.append((out / "runs.csv").read_bytes())
+    assert runs[0] == runs[1]
+    assert {ln.split(b",")[2] for ln in runs[0].splitlines()[1:]} == {b"3"}
+
+
 def test_ablate_parses_the_train_config_once(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("DIFEX_THREADS", "1")
     paths = []
@@ -846,6 +913,30 @@ def test_motivate_rejects_mixed_classes(workspace, tmp_path):
     other = int(np.flatnonzero(domains[0].y != domains[0].y[0])[0])
     assert main(["motivate", workspace["data"], "--ids", f"0:0,0:{other}",
                  "--out", str(tmp_path / "v.csv")]) == 2
+
+
+@pytest.mark.parametrize("out,error", [
+    (os.path.join("no", "such", "v.csv"), "is not a directory"),
+    (os.path.join("F", "v.csv"), "is not a directory"),  # F is a file
+    ("D", "is not a file name"),  # D is a directory
+    ("", "is not a file name"),
+])
+def test_motivate_refuses_a_bad_out_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, out, error,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(difex.cli, "load_dir", refuse)
+    (tmp_path / "F").write_text("a file\n")
+    (tmp_path / "D").mkdir()
+    before = _snapshot(tmp_path)
+    path = str(tmp_path / out) if out else ""
+    assert main(["motivate", workspace["data"], "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"difex: error: --out {path!r}") and err.count("\n") == 1
+    assert error in err
+    assert _snapshot(tmp_path) == before and sorted(os.listdir(tmp_path)) == ["D", "F"]
 
 
 # -- checkpoint interop ---------------------------------------------------

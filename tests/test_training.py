@@ -461,14 +461,14 @@ def test_run_arms_equals_one_run_per_arm(monkeypatch):
     cfg = tiny_cfg(epochs=2)
     calls = []
 
-    def counted(sources, cfg):
-        calls.append(cfg.mode)
-        return train_teacher(sources, cfg)
+    def counted(sources, teacher_cfg):
+        calls.append(teacher_cfg)
+        return train_teacher(sources, teacher_cfg)
 
     monkeypatch.setattr(difex.training, "train_teacher", counted)
     together = run_arms(domains, 1, cfg, arms)
-    # the first arm that distills trains the teacher; the others share it
-    assert calls == ["no-mutual"]
+    # one teacher, trained from the run's config; the arms that distill share it
+    assert calls == [cfg]
     assert [r.teacher is None for r in together] == [True, True, False, False, False]
     assert together[2].teacher is together[3].teacher is together[4].teacher
     monkeypatch.undo()
